@@ -54,7 +54,10 @@ def _add_common(p: argparse.ArgumentParser, with_selection: bool = True) -> None
             help="restrict to a velocity bin name (repeatable)",
         )
         p.add_argument("--n-cap", type=int, default=None, help="override the sample cap")
-        p.add_argument("--workers", type=int, default=None, help="override worker count")
+        p.add_argument(
+            "--workers", type=int, default=None,
+            help="validated but selects nothing; batches run in one thread",
+        )
         p.add_argument(
             "--verbose-traces", action="store_true",
             help="also write per-scenario logs and event traces",

@@ -15,6 +15,7 @@ subcommand before drawing conclusions about a real system.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import yaml
 from .distributions import EmpiricalDist, TruncatedPareto
 from .estimation import ConfidenceSpec, InjuryModel
 from .plant import AvConfig
-from .scenario import ProposalParams, ScenarioModel, VelocityBin
+from .scenario import STREAM_INDICES, ProposalParams, ScenarioModel, VelocityBin
 
 __all__ = [
     "ConfigError",
@@ -123,7 +124,7 @@ class ExperimentConfig:
     modes: tuple[str, ...]
     bins: tuple[str, ...]
     n_cap: int
-    workers: int
+    workers: int  # validated but unused: batches run in one thread
     model: ScenarioModel
     plant: AvConfig
     confidence: ConfidenceSpec
@@ -174,6 +175,30 @@ def _pairs(value, path: str) -> list[tuple[float, float]]:
     ):
         raise ConfigError(f"{path}: expected a list of [x, y] pairs")
     return [(_number(p[0], path), _number(p[1], path)) for p in value]
+
+
+def _build_section(cls, section: str, values: dict):
+    """Build dataclass ``cls`` field by field from ``values``.
+
+    Each field's default fixes how its value is read: a tuple default
+    takes [x, y] pairs, a string default takes a string, anything else a
+    number.  A value the class itself rejects becomes a ConfigError
+    prefixed with ``section``.
+    """
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        path = f"{section}.{f.name}"
+        value = values[f.name]
+        if isinstance(f.default, tuple):
+            kwargs[f.name] = tuple(_pairs(value, path))
+        elif isinstance(f.default, str):
+            kwargs[f.name] = str(value)
+        else:
+            kwargs[f.name] = _number(value, path)
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{section}: {e}") from e
 
 
 def _build_model(section: dict, path: str) -> ScenarioModel:
@@ -252,47 +277,9 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
         if model.v_dist.mass_in_range(b.lo, b.hi) <= 0.0:
             raise ConfigError(f"bins: velocity bin {name!r} carries no probability mass")
 
-    try:
-        plant = AvConfig(
-            t_hw_desired=_number(resolved["plant"]["t_hw_desired"], "plant.t_hw_desired"),
-            a_acc_max=_number(resolved["plant"]["a_acc_max"], "plant.a_acc_max"),
-            kp_acc=_number(resolved["plant"]["kp_acc"], "plant.kp_acc"),
-            ki_acc=_number(resolved["plant"]["ki_acc"], "plant.ki_acc"),
-            a_aeb=_number(resolved["plant"]["a_aeb"], "plant.a_aeb"),
-            r_aeb=_number(resolved["plant"]["r_aeb"], "plant.r_aeb"),
-            tau_av=_number(resolved["plant"]["tau_av"], "plant.tau_av"),
-            ts=_number(resolved["plant"]["ts"], "plant.ts"),
-            t_lc_max=_number(resolved["plant"]["t_lc_max"], "plant.t_lc_max"),
-            ttc_aeb_schedule=tuple(_pairs(resolved["plant"]["ttc_aeb_schedule"], "plant.ttc_aeb_schedule")),
-            r_conflict=_number(resolved["plant"]["r_conflict"], "plant.r_conflict"),
-            error_sign=_number(resolved["plant"]["error_sign"], "plant.error_sign"),
-        )
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"plant: {e}") from e
-
-    try:
-        confidence = ConfidenceSpec(
-            alpha=_number(resolved["confidence"]["alpha"], "confidence.alpha"),
-            beta=_number(resolved["confidence"]["beta"], "confidence.beta"),
-        )
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"confidence: {e}") from e
-
-    try:
-        injury = InjuryModel(
-            b0=_number(resolved["injury"]["b0"], "injury.b0"),
-            b1=_number(resolved["injury"]["b1"], "injury.b1"),
-            b2=_number(resolved["injury"]["b2"], "injury.b2"),
-            delta_v_unit=str(resolved["injury"]["delta_v_unit"]),
-        )
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"injury: {e}") from e
+    plant = _build_section(AvConfig, "plant", resolved["plant"])
+    confidence = _build_section(ConfidenceSpec, "confidence", resolved["confidence"])
+    injury = _build_section(InjuryModel, "injury", resolved["injury"])
 
     r_lc = _number(resolved["r_lc"], "r_lc")
     if not r_lc > 0:
@@ -312,6 +299,11 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
                        f"cross_entropy.n_per_iter.{ev}")
         if val < 1:
             raise ConfigError(f"cross_entropy.n_per_iter.{ev}: must be >= 1")
+        if ce_iterations * val > STREAM_INDICES:
+            raise ConfigError(
+                f"cross_entropy.n_per_iter.{ev}: iterations x n_per_iter must be "
+                f"<= 2^32 (scenario stream indices), got {ce_iterations} x {val}"
+            )
         ce_n_per_iter[ev] = val
     resolved["cross_entropy"]["n_per_iter"] = dict(ce_n_per_iter)
 
@@ -324,11 +316,14 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
     n_cap = _integer(resolved["n_cap"], "n_cap")
     if n_cap < min_samples:
         raise ConfigError(f"n_cap: must be >= stopping.min_samples ({min_samples}), got {n_cap}")
+    if n_cap > STREAM_INDICES:
+        raise ConfigError(f"n_cap: must be <= 2^32 (scenario stream indices), got {n_cap}")
     workers = _integer(resolved["workers"], "workers")
     if workers < 1:
         raise ConfigError("workers: must be >= 1")
-    # Worker count changes how batches are scheduled, never what they
-    # compute, so it stays out of the hashed/reported settings.
+    # Batches always run in one thread; ``workers`` is validated for
+    # compatibility but selects nothing, so it stays out of the
+    # hashed/reported settings.
     del resolved["workers"]
 
     warm_start: dict[str, dict[str, ProposalParams]] = {}

@@ -48,7 +48,6 @@ class CeIterate:
 class CeState:
     """Final search state; ``history`` has one entry per iteration."""
 
-    iteration: int
     params: ProposalParams
     n_per_iter: int
     event_hits: int
@@ -98,7 +97,6 @@ def ce_search(
     n_per_iter: int,
     iterations: int,
     seed: int,
-    label: str | None = None,
     margin: float = 0.01,
     max_zero_iters: int = 3,
 ) -> CeState:
@@ -116,7 +114,7 @@ def ce_search(
     b = model.bin_named(bin_name)
     lam_r = model.r_inv_exp_mean
     lam_cap = model.min_lambda_ttc_in(b)
-    ns = stream_namespace(label if label is not None else f"ce/{event}/{bin_name}")
+    ns = stream_namespace(f"ce/{event}/{bin_name}")
 
     params = ProposalParams(0.0, 0.0, bin_name)
     history: list[CeIterate] = []
@@ -157,7 +155,6 @@ def ce_search(
             CeIterate(it, params.vartheta_r, params.vartheta_ttc, hits, n_per_iter)
         )
     return CeState(
-        iteration=iterations,
         params=params,
         n_per_iter=n_per_iter,
         event_hits=hits,

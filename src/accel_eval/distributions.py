@@ -101,9 +101,6 @@ class TruncatedPareto:
             x = np.maximum(x, self.lo)
         return _maybe_scalar(x, u)
 
-    def rvs(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
-        return self.ppf(rng.random(size=size))
-
     def mean(self) -> float:
         """Mean of the truncated law, by adaptive quadrature."""
         val, _ = integrate.quad(lambda x: x * self.pdf(x), self.lo, self.hi, limit=200)
@@ -152,9 +149,6 @@ class TruncatedExponential:
         if math.isfinite(self.hi):
             x = np.clip(x, self.lo, self.hi)
         return _maybe_scalar(x, u)
-
-    def rvs(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
-        return self.ppf(rng.random(size=size))
 
 
 def tilt_exponential(base: TruncatedExponential, vartheta: float) -> TruncatedExponential:

@@ -24,7 +24,6 @@ __all__ = [
     "relative_half_width",
     "required_n_cmc",
     "injury_probability",
-    "accelerated_rate",
 ]
 
 MILE_M = 1609.344  # meters per statute mile, exact
@@ -184,17 +183,3 @@ def injury_probability(delta_v: float | None, m: InjuryModel) -> float:
     dv = delta_v * 3.6 if m.delta_v_unit == "km/h" else delta_v
     return 1.0 / (1.0 + math.exp(-(m.b0 + m.b1 * dv + m.b2)))
 
-
-def accelerated_rate(n_nature: float, r_lc: float, d_acc_m: float) -> float:
-    """Acceleration factor: naturalistic miles represented per simulated mile.
-
-    ``n_nature`` naturalistic lane changes stand for ``r_lc * n_nature``
-    miles of driving; the simulated tests covered ``d_acc_m`` meters.
-    """
-    if not d_acc_m > 0.0:
-        raise ValueError(f"d_acc_m must be > 0, got {d_acc_m}")
-    if not n_nature > 0.0:
-        raise ValueError(f"n_nature must be > 0, got {n_nature}")
-    if not r_lc > 0.0:
-        raise ValueError(f"r_lc must be > 0, got {r_lc}")
-    return (r_lc * n_nature) / (d_acc_m / MILE_M)

@@ -80,6 +80,12 @@ def build_model_section(
     min_bin_count: int = 10,
 ) -> tuple[dict, IngestSummary]:
     """Fit every piece of the scenario model; returns (config section, summary)."""
+    if not v_bin_width > 0:
+        raise ValueError(f"v_bin_width must be > 0, got {v_bin_width}")
+    if not ttc_speed_bin_width > 0:
+        raise ValueError(f"ttc_speed_bin_width must be > 0, got {ttc_speed_bin_width}")
+    if min_bin_count < 1:
+        raise ValueError(f"min_bin_count must be >= 1, got {min_bin_count}")
     mask, dropped = apply_filters(data)
     v_l = data["v_l"][mask]
     r_l = data["r_l"][mask]

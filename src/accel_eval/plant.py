@@ -211,20 +211,19 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
     """Run one event to crash or to the horizon.
 
     Distance uses the rectangle rule on the speed at each period start,
-    which is also the integration scheme of the kinematics.  The
-    unrecorded path inlines :func:`step` on local floats (it is the hot
-    loop of every estimator); the recorded path drives :func:`step`
-    itself, and the two are held to exact agreement by tests.
+    which is also the integration scheme of the kinematics.  The loop
+    inlines :func:`step` on local floats (it is the hot loop of every
+    estimator) and is held to exact agreement with it by tests.  With
+    ``record`` the trace also holds the state at every tick, the initial
+    one included.
     """
-    if record:
-        return _simulate_recorded(scenario, cfg)
-
     v_l = scenario.v_l
     ts = cfg.ts
     lag = ts / cfg.tau_av
     n_steps = round(cfg.t_lc_max / ts)
 
     state = _initial_state(scenario, cfg)
+    states = [state] if record else []
     t = 0.0
     r = state.r
     v = state.v
@@ -258,6 +257,11 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
         r = r + (v_l - v_before) * ts
         t = t + ts
         sum_v += v_before
+        if record:
+            states.append(SimState(
+                t=t, r=r, v=v, a=a, a_cmd=a_cmd, mode=AEB if aeb else ACC,
+                prev_err=prev_err, a_d_prev=a_d_prev,
+            ))
         if r < min_range:
             min_range = r
         if r <= 0.0:
@@ -274,47 +278,13 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
     else:
         outcome = "none"
     return SimTrace(
-        states=(),
+        states=tuple(states),
         final=final,
         outcome=outcome,
         t_end=t,
         min_range=min_range,
         delta_v=delta_v,
-        distance_m=sum_v * cfg.ts,
-    )
-
-
-def _simulate_recorded(scenario: ScenarioSample, cfg: AvConfig) -> SimTrace:
-    state = _initial_state(scenario, cfg)
-    states = [state]
-    min_range = state.r
-    sum_v = 0.0
-    delta_v = None
-    n_steps = round(cfg.t_lc_max / cfg.ts)
-    for _ in range(n_steps):
-        v_before = state.v
-        state = step(state, scenario, cfg)
-        sum_v += v_before
-        states.append(state)
-        if state.r < min_range:
-            min_range = state.r
-        if state.r <= 0.0:
-            delta_v = v_before - scenario.v_l
-            break
-    if state.r <= 0.0:
-        outcome = "crash"
-    elif min_range < cfg.r_conflict:
-        outcome = "conflict"
-    else:
-        outcome = "none"
-    return SimTrace(
-        states=tuple(states),
-        final=state,
-        outcome=outcome,
-        t_end=state.t,
-        min_range=min_range,
-        delta_v=delta_v,
-        distance_m=sum_v * cfg.ts,
+        distance_m=sum_v * ts,
     )
 
 

@@ -1,11 +1,11 @@
 """End-to-end experiment orchestration and report writing.
 
 The estimation loop draws scenarios in fixed-size batches, each scenario
-on its own counter-based stream, so results are byte-identical no matter
-how many workers execute the batches.  Batches merge in index order and
-the stopping rule is evaluated at batch boundaries only; with several
-workers some batches past the stopping point may be computed and
-discarded, which changes nothing in the output.
+on its own counter-based stream.  Batches run one after another in one
+thread, merge in index order, and the stopping rule is evaluated at
+batch boundaries only.  The ``workers`` setting is accepted and
+validated but selects nothing: a thread pool ran slower than one thread
+under the GIL.
 
 Report files carry no timestamps: rerunning the same config and seed
 must reproduce them exactly.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -79,18 +78,9 @@ class RunReport:
     convergence: dict[str, list[tuple[int, float, float | None, float]]]
     scenario_logs: dict[str, list[tuple]] | None = None
 
-    @property
-    def config_hash(self) -> str:
-        return config_digest(self.cfg.resolved)
-
     def to_dict(self) -> dict:
         return {
-            "provenance": {
-                "config_hash": self.config_hash,
-                "seed": self.cfg.seed,
-                "version": __version__,
-            },
-            "resolved_config": self.cfg.resolved,
+            **_config_header(self.cfg),
             "rows": [
                 {
                     "event": r.event,
@@ -191,29 +181,10 @@ def _estimate_combo(
         conv.append((total.n, total.mean(), lr, total.sample_variance()))
         return total.n >= cfg.min_samples and lr is not None and lr < cfg.confidence.beta
 
-    if cfg.workers == 1:
-        for k in range(n_batches):
-            if absorb(*run_batch(k)):
-                converged = True
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-            futures = {}
-            submitted = 0
-            while submitted < min(cfg.workers, n_batches):
-                futures[submitted] = ex.submit(run_batch, submitted)
-                submitted += 1
-            done = 0
-            while done < n_batches:
-                acc_k, log_k = futures.pop(done).result()
-                done += 1
-                if absorb(acc_k, log_k):
-                    converged = True
-                    break
-                if submitted < n_batches:
-                    futures[submitted] = ex.submit(run_batch, submitted)
-                    submitted += 1
-            # Batches submitted past the stopping point finish and are dropped.
+    for k in range(n_batches):
+        if absorb(*run_batch(k)):
+            converged = True
+            break
     return total, conv, converged, logs
 
 
@@ -268,19 +239,29 @@ def _build_row(
     )
 
 
-def run_search(cfg: ExperimentConfig) -> dict[str, CeState]:
-    """Cross-entropy search only, for every requested (event, bin)."""
+def _search_all(cfg: ExperimentConfig, skip_warm: bool) -> dict[str, CeState]:
+    """One cross-entropy search per requested (event, bin), in config order.
+
+    Injury shares the crash search; with ``skip_warm`` a pair that has
+    warm-start tilts is not searched.
+    """
     results: dict[str, CeState] = {}
     for event in cfg.events:
         ce_ev = _ce_event_for(event)
         for bin_name in cfg.bins:
             key = f"{ce_ev}/{bin_name}"
-            if key not in results:
-                results[key] = ce_search(
-                    cfg.model, cfg.plant, bin_name, ce_ev,
-                    cfg.ce_n_per_iter[ce_ev], cfg.ce_iterations, cfg.seed,
-                )
+            if key in results or (skip_warm and _warm_params(cfg, event, bin_name) is not None):
+                continue
+            results[key] = ce_search(
+                cfg.model, cfg.plant, bin_name, ce_ev,
+                cfg.ce_n_per_iter[ce_ev], cfg.ce_iterations, cfg.seed,
+            )
     return results
+
+
+def run_search(cfg: ExperimentConfig) -> dict[str, CeState]:
+    """Cross-entropy search only, for every requested (event, bin)."""
+    return _search_all(cfg, skip_warm=False)
 
 
 def run_experiment(
@@ -289,15 +270,7 @@ def run_experiment(
     """Search (unless warm-started or disabled) then estimate every combination."""
     ce_results: dict[str, CeState] = {}
     if "is" in cfg.modes and do_ce:
-        for event in cfg.events:
-            ce_ev = _ce_event_for(event)
-            for bin_name in cfg.bins:
-                key = f"{ce_ev}/{bin_name}"
-                if _warm_params(cfg, event, bin_name) is None and key not in ce_results:
-                    ce_results[key] = ce_search(
-                        cfg.model, cfg.plant, bin_name, ce_ev,
-                        cfg.ce_n_per_iter[ce_ev], cfg.ce_iterations, cfg.seed,
-                    )
+        ce_results = _search_all(cfg, skip_warm=True)
 
     rows: list[EstimateRow] = []
     convergence: dict[str, list] = {}
@@ -354,7 +327,7 @@ def _ce_state_dict(st: CeState) -> dict:
     }
 
 
-def search_to_dict(cfg: ExperimentConfig, results: dict[str, CeState]) -> dict:
+def _config_header(cfg: ExperimentConfig) -> dict:
     return {
         "provenance": {
             "config_hash": config_digest(cfg.resolved),
@@ -362,29 +335,44 @@ def search_to_dict(cfg: ExperimentConfig, results: dict[str, CeState]) -> dict:
             "version": __version__,
         },
         "resolved_config": cfg.resolved,
+    }
+
+
+def search_to_dict(cfg: ExperimentConfig, results: dict[str, CeState]) -> dict:
+    return {
+        **_config_header(cfg),
         "ce": {key: _ce_state_dict(st) for key, st in results.items()},
     }
 
 
-def write_search_outputs(d: dict, out_dir: str) -> None:
-    """Write the tilt summary, search.json and per-search history CSVs."""
-    os.makedirs(out_dir, exist_ok=True)
-    prov = d["provenance"]
-    lines = [
-        "cross-entropy search",
+def _provenance_lines(prov: dict) -> list[str]:
+    return [
         f"config   sha256:{prov['config_hash']}",
         f"seed     {prov['seed']}",
         f"version  {prov['version']}",
         "",
     ]
-    for key, st in d["ce"].items():
-        lines.append(
-            f"{key:<16} vartheta_r={st['vartheta_r']:.6g} "
-            f"vartheta_ttc={st['vartheta_ttc']:.6g} "
-            f"hits={st['event_hits']}/{st['n_per_iter']} "
-            f"iterations={len(st['history'])}"
-        )
-    lines.append("")
+
+
+def _tilt_lines(ce: dict) -> list[str]:
+    return [
+        f"{key:<16} vartheta_r={st['vartheta_r']:.6g} "
+        f"vartheta_ttc={st['vartheta_ttc']:.6g} "
+        f"hits={st['event_hits']}/{st['n_per_iter']} "
+        f"iterations={len(st['history'])}"
+        for key, st in ce.items()
+    ]
+
+
+def write_search_outputs(d: dict, out_dir: str) -> None:
+    """Write the tilt summary, search.json and per-search history CSVs."""
+    os.makedirs(out_dir, exist_ok=True)
+    lines = [
+        "cross-entropy search",
+        *_provenance_lines(d["provenance"]),
+        *_tilt_lines(d["ce"]),
+        "",
+    ]
     _write(os.path.join(out_dir, "summary.txt"), "\n".join(lines))
     _write(
         os.path.join(out_dir, "search.json"),
@@ -415,14 +403,10 @@ def _fmt(x, width: int = 12) -> str:
 
 def render_summary(d: dict) -> str:
     """Human-readable summary from a report dictionary."""
-    prov = d["provenance"]
     conf = d["resolved_config"]["confidence"]
     lines = [
         "accelerated-evaluation run",
-        f"config   sha256:{prov['config_hash']}",
-        f"seed     {prov['seed']}",
-        f"version  {prov['version']}",
-        "",
+        *_provenance_lines(d["provenance"]),
         f"estimates (confidence {(1.0 - conf['alpha']) * 100:.4g}%, "
         f"target relative half-width {conf['beta']:.4g}):",
     ]
@@ -445,15 +429,7 @@ def render_summary(d: dict) -> str:
             + _fmt(r["n_nature"]) + f"  {r['n_nature_source']}"
         )
     if d["ce"]:
-        lines += ["", "cross-entropy tilts:"]
-        for key in d["ce"]:
-            st = d["ce"][key]
-            lines.append(
-                f"{key:<16} vartheta_r={st['vartheta_r']:.6g} "
-                f"vartheta_ttc={st['vartheta_ttc']:.6g} "
-                f"hits={st['event_hits']}/{st['n_per_iter']} "
-                f"iterations={len(st['history'])}"
-            )
+        lines += ["", "cross-entropy tilts:", *_tilt_lines(d["ce"])]
     lines.append("")
     return "\n".join(lines)
 

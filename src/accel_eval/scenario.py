@@ -25,6 +25,7 @@ from .distributions import (
 )
 
 __all__ = [
+    "STREAM_INDICES",
     "VelocityBin",
     "ProposalParams",
     "ScenarioSample",
@@ -33,6 +34,8 @@ __all__ = [
     "scenario_stream",
     "stream_namespace",
 ]
+
+STREAM_INDICES = 1 << 32  # scenario indices and namespaces per seed
 
 
 @dataclass(frozen=True)
@@ -104,9 +107,9 @@ def scenario_stream(seed: int, index: int, namespace: int = 0) -> np.random.Gene
     Philox cipher keyed by ``seed``, so draws do not depend on how many
     scenarios run concurrently or in what order.
     """
-    if index < 0 or index >= 1 << 32:
+    if index < 0 or index >= STREAM_INDICES:
         raise ValueError(f"index out of range: {index}")
-    if namespace < 0 or namespace >= 1 << 32:
+    if namespace < 0 or namespace >= STREAM_INDICES:
         raise ValueError(f"namespace out of range: {namespace}")
     counter = ((namespace << 32) | index) << 64
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
@@ -262,30 +265,12 @@ class ScenarioModel:
             t_prop = self.ttc_inv_proposal(v_l, proposal.vartheta_ttc)
             r_inv = float(r_prop.ppf(u_r))
             ttc_inv = float(t_prop.ppf(u_ttc))
-            likelihood = self._likelihood(v_l, r_inv, ttc_inv, r_prop, t_prop)
+            # Lead speed cancels: it is drawn from the same law either way.
+            lr_r = float(self.r_inv_dist.pdf(r_inv)) / float(r_prop.pdf(r_inv))
+            lr_t = float(exp_density_ratio(self.ttc_inv_original(v_l), t_prop, ttc_inv))
+            likelihood = lr_r * lr_t
         rdot, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
         return ScenarioSample(
             v_l=v_l, r_inv=r_inv, ttc_inv=ttc_inv, r0=r0, rdot=rdot, v0=v0,
             likelihood=likelihood,
         )
-
-    def _likelihood(
-        self,
-        v_l: float,
-        r_inv: float,
-        ttc_inv: float,
-        r_prop: TruncatedExponential,
-        t_prop: TruncatedExponential,
-    ) -> float:
-        # Lead speed cancels: it is drawn from the same law either way.
-        lr_r = float(self.r_inv_dist.pdf(r_inv)) / float(r_prop.pdf(r_inv))
-        lr_t = float(exp_density_ratio(self.ttc_inv_original(v_l), t_prop, ttc_inv))
-        return lr_r * lr_t
-
-    def likelihood_ratio(self, sample: ScenarioSample, proposal: ProposalParams | None) -> float:
-        """Original-over-proposal density ratio for an already drawn sample."""
-        if proposal is None:
-            return 1.0
-        r_prop = self.r_inv_proposal(proposal.vartheta_r)
-        t_prop = self.ttc_inv_proposal(sample.v_l, proposal.vartheta_ttc)
-        return self._likelihood(sample.v_l, sample.r_inv, sample.ttc_inv, r_prop, t_prop)

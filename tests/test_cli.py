@@ -188,6 +188,20 @@ def test_fit_errors_exit_1(tmp_path, capsys):
     assert "need >= 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--v-bin-width", "0"), ("--v-bin-width", "-1"), ("--ttc-speed-bin-width", "0"),
+     ("--min-bin-count", "0")],
+)
+def test_fit_rejects_bad_bin_settings(tmp_path, capsys, flag, value):
+    data = tmp_path / "events.csv"
+    _write_csv(data, _synthetic_rows(50, seed=41))
+    out = tmp_path / "m.yaml"
+    assert main(["fit", str(data), "--out", str(out), flag, value]) == 1
+    assert f"error: {flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_rerenders_stored_results(tmp_path, capsys):
     cfg = _fast_config(tmp_path)
     first = tmp_path / "first"

@@ -147,6 +147,27 @@ def test_count_bounds():
     assert cfg.ce_n_per_iter == {"conflict": 100, "crash": 50}
 
 
+def test_sample_counts_fit_the_stream_index_range():
+    # scenario_stream indexes draws with 32 bits.
+    cfg = parse_config({"seed": 1, "n_cap": 1 << 32})
+    assert cfg.n_cap == 1 << 32
+    with pytest.raises(ConfigError, match=r"^n_cap: must be <= 2\^32"):
+        parse_config({"seed": 1, "n_cap": 4294967301})
+    cfg = parse_config(
+        {"seed": 1, "cross_entropy": {"iterations": 1 << 16, "n_per_iter": {"crash": 1 << 16}}}
+    )
+    assert cfg.ce_n_per_iter["crash"] == 1 << 16
+    with pytest.raises(ConfigError, match=r"^cross_entropy\.n_per_iter\.crash: iterations"):
+        parse_config(
+            {"seed": 1,
+             "cross_entropy": {"iterations": 1 << 16, "n_per_iter": {"crash": (1 << 16) + 1}}}
+        )
+    with pytest.raises(ConfigError, match=r"^cross_entropy\.n_per_iter\.conflict: iterations"):
+        parse_config(
+            {"seed": 1, "cross_entropy": {"iterations": 2, "n_per_iter": {"conflict": 1 << 31 | 1}}}
+        )
+
+
 def test_workers_excluded_from_resolved_settings():
     a = parse_config({"seed": 1, "workers": 1})
     b = parse_config({"seed": 1, "workers": 8})

@@ -78,7 +78,6 @@ def test_analytic_exponential_tail_update_converges():
 def test_search_history_and_final_state():
     model = make_model()
     state = ce_search(model, AvConfig(), "high", "conflict", 100, 3, seed=1)
-    assert state.iteration == 3
     assert state.n_per_iter == 100
     assert len(state.history) == 3
     assert [h.iteration for h in state.history] == [1, 2, 3]

@@ -5,11 +5,9 @@ import math
 import pytest
 
 from accel_eval.estimation import (
-    MILE_M,
     ConfidenceSpec,
     EstimatorAccumulator,
     InjuryModel,
-    accelerated_rate,
     injury_probability,
     merge,
     relative_half_width,
@@ -156,20 +154,6 @@ def test_injury_unit_tag_converts_input():
     assert injury_probability(dv, kmh) == injury_probability(dv * 3.6, ms)
     with pytest.raises(ValueError):
         InjuryModel(delta_v_unit="mph")
-
-
-def test_accelerated_rate_accounting():
-    # 1000 naturalistic lane changes at 7.64 mi each vs 160 m simulated.
-    r = accelerated_rate(1000, 7.64, 160.0)
-    assert r == (7.64 * 1000) / (160.0 / MILE_M)
-    assert MILE_M == 1609.344
-    assert 160.0 / MILE_M == pytest.approx(0.09941939075797343, rel=1e-15)
-    with pytest.raises(ValueError):
-        accelerated_rate(0.0, 7.64, 160.0)
-    with pytest.raises(ValueError):
-        accelerated_rate(1000, 0.0, 160.0)
-    with pytest.raises(ValueError):
-        accelerated_rate(1000, 7.64, 0.0)
 
 
 def test_distance_accumulates():

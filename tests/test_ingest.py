@@ -42,7 +42,7 @@ def _synthetic_rows(n, seed):
     v = rng.uniform(3.0, 39.0, n)
     v_l = rng.uniform(2.5, 39.5, n)
     pareto = TruncatedPareto(0.02, 0.0205, 1 / 75, 1 / 75, 10.0)
-    r_l = 1.0 / pareto.rvs(rng, n)
+    r_l = 1.0 / pareto.ppf(rng.random(n))
     ttc_inv = np.array([rng.exponential(_lam(x)) for x in v_l])
     r_l_dot = -ttc_inv * r_l
     return np.column_stack([v, v_l, r_l, r_l_dot])
@@ -137,6 +137,25 @@ def test_too_few_survivors_is_an_error(tmp_path):
     _write_csv(p, [[10.0, 12.0, 30.0, -1.0]] * 5)
     with pytest.raises(ValueError, match="need >= 10"):
         build_model_section(load_events_csv(str(p)))
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"v_bin_width": 0.0}, "v_bin_width must be > 0"),
+        ({"v_bin_width": -2.0}, "v_bin_width must be > 0"),
+        ({"ttc_speed_bin_width": 0.0}, "ttc_speed_bin_width must be > 0"),
+        ({"ttc_speed_bin_width": -5.0}, "ttc_speed_bin_width must be > 0"),
+        ({"min_bin_count": 0}, "min_bin_count must be >= 1"),
+    ],
+)
+def test_bin_settings_are_validated(kwargs, match):
+    # A zero speed interval would never end the interval loop, and a
+    # non-positive histogram width has no edges to bin by.
+    rows = _synthetic_rows(50, seed=3)
+    data = {c: rows[:, i] for i, c in enumerate(("v", "v_l", "r_l", "r_l_dot"))}
+    with pytest.raises(ValueError, match=match):
+        build_model_section(data, **kwargs)
 
 
 def test_render_fit_summary_reports_fits(tmp_path):

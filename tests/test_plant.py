@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from accel_eval.plant import (
@@ -14,6 +13,7 @@ from accel_eval.plant import (
     aeb_threshold,
     classify_events,
     instantaneous_ttc,
+    _initial_state,
     simulate,
     step,
 )
@@ -189,7 +189,19 @@ def test_horizon_step_count():
     assert trace.t_end == pytest.approx(8.0, abs=1e-9)
 
 
+def _step_chain(s, cfg):
+    """Reference run: step() from the initial state to crash or horizon."""
+    states = [_initial_state(s, cfg)]
+    for _ in range(round(cfg.t_lc_max / cfg.ts)):
+        states.append(step(states[-1], s, cfg))
+        if states[-1].r <= 0.0:
+            break
+    return states
+
+
 def test_fast_and_recorded_paths_agree_exactly():
+    # The inlined loop of simulate() is held to step(), state by state,
+    # with and without recording.
     model = make_model()
     cfg = AvConfig()
     ns = stream_namespace("test/pathpair")
@@ -201,15 +213,26 @@ def test_fast_and_recorded_paths_agree_exactly():
         b = model.bins[i % 3]
         prop = ProposalParams(-0.05, -0.01, b.name)
         cases.append(model.sample_scenario(b, scenario_stream(21, i, ns), prop))
+    # The sampled draws hold no crash; these two end in one.
+    cases += [mk(10.0, 0.5, 5.0), mk(10.0, 0.5, 2.0)]
+    outcomes = set()
     for s in cases:
+        ref = _step_chain(s, cfg)
+        crashed = ref[-1].r <= 0.0
+        recorded = simulate(s, cfg, record=True)
+        assert list(recorded.states) == ref
         fast = simulate(s, cfg)
-        slow = simulate(s, cfg, record=True)
-        assert fast.final == slow.final
-        assert fast.outcome == slow.outcome
-        assert fast.t_end == slow.t_end
-        assert fast.min_range == slow.min_range
-        assert fast.delta_v == slow.delta_v
-        assert fast.distance_m == slow.distance_m
+        assert fast.states == ()
+        assert fast.final == recorded.final == ref[-1]
+        assert fast.min_range == recorded.min_range == min(st.r for st in ref)
+        assert fast.delta_v == recorded.delta_v == (
+            ref[-2].v - s.v_l if crashed else None
+        )
+        assert fast.distance_m == recorded.distance_m == sum(st.v for st in ref[:-1]) * cfg.ts
+        assert fast.outcome == recorded.outcome
+        assert fast.t_end == recorded.t_end == ref[-1].t
+        outcomes.add(fast.outcome)
+    assert outcomes == {"none", "conflict", "crash"}
 
 
 def test_distance_is_rectangle_rule_on_period_start_speeds():

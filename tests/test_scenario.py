@@ -173,17 +173,6 @@ def test_identity_proposal_weight_is_surrogate_ratio():
         assert s.likelihood == pytest.approx(expect, rel=1e-12)
 
 
-def test_likelihood_ratio_recomputes_sampled_weight():
-    m = make_model()
-    b = m.bin_named("high")
-    prop = ProposalParams(-0.08, -0.01, "high")
-    ns = stream_namespace("test/recompute")
-    for i in range(50):
-        s = m.sample_scenario(b, scenario_stream(3, i, ns), prop)
-        assert m.likelihood_ratio(s, prop) == s.likelihood
-        assert m.likelihood_ratio(s, None) == 1.0
-
-
 def test_importance_weights_average_to_one():
     # E_proposal[L] = 1 for any valid tilt; checked at 3 standard errors.
     m = make_model()
