@@ -1,10 +1,12 @@
 """Experiment configuration: YAML schema, defaults, validation, hashing.
 
 A config file only needs the keys it wants to change; everything else
-falls back to the defaults below.  Unknown keys are rejected with their
-full path so typos cannot silently disable a setting.  The resolved
-(defaults-applied) mapping is what gets hashed into the report, so two
-runs with the same effective settings carry the same config digest.
+falls back to the defaults below (the plant, confidence and injury
+sections are the field defaults of their dataclasses).  Unknown keys
+are rejected with their full path so typos cannot silently disable a
+setting.  The resolved (defaults-applied) mapping is what gets hashed
+into the report, so two runs with the same effective settings carry the
+same config digest.
 
 The default scenario-model numbers are synthetic placeholders shaped to
 look like naturalistic lane-change statistics (conflict probability on
@@ -48,6 +50,15 @@ _R_INV_LO = 1.0 / 75.0  # 1/m, ranges past 75 m are no longer a cut-in ahead
 _R_INV_HI = 1.0 / 0.1  # 1/m, ranges under 0.1 m are already contact
 
 
+def _as_lists(value):
+    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _field_defaults(cls) -> dict[str, Any]:
+    """The dataclass's field defaults as a config section (tuples become lists)."""
+    return {f.name: _as_lists(f.default) for f in dataclasses.fields(cls)}
+
+
 def default_config_dict() -> dict[str, Any]:
     """Fresh copy of the full default configuration (seed intentionally absent)."""
     return {
@@ -57,7 +68,7 @@ def default_config_dict() -> dict[str, Any]:
         "bins": ["all"],
         "n_cap": 200000,
         "workers": 1,
-        "confidence": {"alpha": 0.2, "beta": 0.2},
+        "confidence": _field_defaults(ConfidenceSpec),
         "model": {
             "velocity": {"bin_edges": list(_V_EDGES), "bin_mass": list(_V_MASS)},
             "inverse_range": {
@@ -86,21 +97,8 @@ def default_config_dict() -> dict[str, Any]:
                 {"name": "high", "lo": 25.0, "hi": 40.0},
             ],
         },
-        "plant": {
-            "t_hw_desired": 2.0,
-            "a_acc_max": 5.0,
-            "kp_acc": -38.6,
-            "ki_acc": -1.35,
-            "a_aeb": 10.0,
-            "r_aeb": -16.0,
-            "tau_av": 0.0796,
-            "ts": 0.1,
-            "t_lc_max": 8.0,
-            "ttc_aeb_schedule": [[5.0, 1.0], [15.0, 1.3], [25.0, 1.5], [40.0, 1.5]],
-            "r_conflict": 9.144,
-            "error_sign": -1.0,
-        },
-        "injury": {"b0": -6.068, "b1": 0.1, "b2": -0.6234, "delta_v_unit": "m/s"},
+        "plant": _field_defaults(AvConfig),
+        "injury": _field_defaults(InjuryModel),
         "r_lc": 7.64,
         "cross_entropy": {
             "iterations": 10,

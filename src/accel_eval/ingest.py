@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import default_config_dict
 from .distributions import FitReport, fit_exponential_mle, fit_pareto
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
 ]
 
 V_RANGE = (2.0, 40.0)  # m/s, either vehicle
+MAX_V_INTERVALS = 1000  # most intervals a speed bin width may split V_RANGE into
 R_RANGE = (0.1, 75.0)  # m, range at cut-in
 
 _COLUMNS = ("v", "v_l", "r_l", "r_l_dot")
@@ -80,10 +82,15 @@ def build_model_section(
     min_bin_count: int = 10,
 ) -> tuple[dict, IngestSummary]:
     """Fit every piece of the scenario model; returns (config section, summary)."""
-    if not v_bin_width > 0:
-        raise ValueError(f"v_bin_width must be > 0, got {v_bin_width}")
-    if not ttc_speed_bin_width > 0:
-        raise ValueError(f"ttc_speed_bin_width must be > 0, got {ttc_speed_bin_width}")
+    min_width = (V_RANGE[1] - V_RANGE[0]) / MAX_V_INTERVALS
+    for name, width in (("v_bin_width", v_bin_width), ("ttc_speed_bin_width", ttc_speed_bin_width)):
+        if not width > 0:
+            raise ValueError(f"{name} must be > 0, got {width}")
+        if width < min_width:
+            raise ValueError(
+                f"{name} must be >= {min_width:g}, so that V_RANGE {V_RANGE} splits into "
+                f"at most {MAX_V_INTERVALS} intervals, got {width}"
+            )
     if min_bin_count < 1:
         raise ValueError(f"min_bin_count must be >= 1, got {min_bin_count}")
     mask, dropped = apply_filters(data)
@@ -125,6 +132,7 @@ def build_model_section(
             "ttc_lambda table would be empty"
         )
 
+    defaults = default_config_dict()["model"]
     section = {
         "velocity": {
             "bin_edges": [float(e) for e in edges],
@@ -137,16 +145,12 @@ def build_model_section(
             "lo": r_inv_lo,
             "hi": r_inv_hi,
         },
-        "exp_approx_mean": None,
+        "exp_approx_mean": defaults["exp_approx_mean"],
         "ttc_lambda": {
             "table": [[float(v), float(lam)] for v, lam in table],
-            "floor": 0.01,
+            "floor": defaults["ttc_lambda"]["floor"],
         },
-        "velocity_bins": [
-            {"name": "low", "lo": 5.0, "hi": 15.0},
-            {"name": "medium", "lo": 15.0, "hi": 25.0},
-            {"name": "high", "lo": 25.0, "hi": 40.0},
-        ],
+        "velocity_bins": defaults["velocity_bins"],
     }
     summary = IngestSummary(
         n_total=len(mask),
@@ -179,16 +183,8 @@ def render_fit_summary(s: IngestSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fit_naturalistic(
-    csv_path: str,
-    v_bin_width: float = 2.0,
-    ttc_speed_bin_width: float = 5.0,
-    min_bin_count: int = 10,
-) -> tuple[dict, IngestSummary]:
-    """CSV in, ready-to-merge ``{"model": ...}`` config fragment out."""
-    data = load_events_csv(csv_path)
-    section, summary = build_model_section(
-        data, v_bin_width=v_bin_width, ttc_speed_bin_width=ttc_speed_bin_width,
-        min_bin_count=min_bin_count,
-    )
+def fit_naturalistic(csv_path: str, **bin_settings) -> tuple[dict, IngestSummary]:
+    """CSV in, ready-to-merge ``{"model": ...}`` config fragment out;
+    ``bin_settings`` go to :func:`build_model_section` unchanged."""
+    section, summary = build_model_section(load_events_csv(csv_path), **bin_settings)
     return {"model": section}, summary

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .config import ExperimentConfig, config_digest
@@ -82,26 +82,7 @@ class RunReport:
         return {
             **_config_header(self.cfg),
             "rows": [
-                {
-                    "event": r.event,
-                    "bin": r.bin_name,
-                    "mode": r.mode,
-                    "estimate": r.estimate,
-                    "ci_lo": r.ci_lo,
-                    "ci_hi": r.ci_hi,
-                    "rel_half_width": r.rel_half_width,
-                    "sample_variance": r.sample_variance,
-                    "n": r.n,
-                    "converged": r.converged,
-                    "distance_m": r.distance_m,
-                    "d_acc_mi": r.d_acc_mi,
-                    "n_nature": r.n_nature,
-                    "n_nature_source": r.n_nature_source,
-                    "d_nature_mi": r.d_nature_mi,
-                    "r_acc": r.r_acc,
-                    "vartheta_r": r.vartheta_r,
-                    "vartheta_ttc": r.vartheta_ttc,
-                }
+                {("bin" if k == "bin_name" else k): v for k, v in asdict(r).items()}
                 for r in self.rows
             ],
             "ce": {key: _ce_state_dict(st) for key, st in self.ce.items()},

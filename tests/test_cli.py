@@ -191,7 +191,7 @@ def test_fit_errors_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, value",
     [("--v-bin-width", "0"), ("--v-bin-width", "-1"), ("--ttc-speed-bin-width", "0"),
-     ("--min-bin-count", "0")],
+     ("--min-bin-count", "0"), ("--v-bin-width", "1e-4"), ("--ttc-speed-bin-width", "1e-6")],
 )
 def test_fit_rejects_bad_bin_settings(tmp_path, capsys, flag, value):
     data = tmp_path / "events.csv"

@@ -147,11 +147,14 @@ def test_too_few_survivors_is_an_error(tmp_path):
         ({"ttc_speed_bin_width": 0.0}, "ttc_speed_bin_width must be > 0"),
         ({"ttc_speed_bin_width": -5.0}, "ttc_speed_bin_width must be > 0"),
         ({"min_bin_count": 0}, "min_bin_count must be >= 1"),
+        ({"v_bin_width": 1e-4}, r"v_bin_width must be >= 0\.038, .* at most 1000 intervals"),
+        ({"ttc_speed_bin_width": 1e-6}, r"ttc_speed_bin_width must be >= 0\.038, "),
     ],
 )
 def test_bin_settings_are_validated(kwargs, match):
     # A zero speed interval would never end the interval loop, and a
-    # non-positive histogram width has no edges to bin by.
+    # non-positive histogram width has no edges to bin by; a tiny width
+    # would build one histogram bin or one masked pass per sliver.
     rows = _synthetic_rows(50, seed=3)
     data = {c: rows[:, i] for i, c in enumerate(("v", "v_l", "r_l", "r_l_dot"))}
     with pytest.raises(ValueError, match=match):
