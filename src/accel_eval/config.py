@@ -149,7 +149,7 @@ def _merge(base: dict, override: dict, path: str) -> dict:
         here = f"{path}.{key}" if path else str(key)
         if key not in base:
             raise ConfigError(f"{here}: unknown key")
-        if isinstance(base[key], dict) and key not in ("warm_start", "n_per_iter"):
+        if isinstance(base[key], dict) and key != "warm_start":
             out[key] = _merge(base[key], _require_map(value, here), here)
         else:
             out[key] = copy.deepcopy(value)
@@ -287,14 +287,9 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
     ce_iterations = _integer(ce["iterations"], "cross_entropy.iterations")
     if ce_iterations < 1:
         raise ConfigError("cross_entropy.iterations: must be >= 1")
-    npi = _require_map(ce["n_per_iter"], "cross_entropy.n_per_iter")
-    unknown = set(npi) - {"conflict", "crash"}
-    if unknown:
-        raise ConfigError(f"cross_entropy.n_per_iter: unknown key(s) {sorted(unknown)}")
     ce_n_per_iter = {}
-    for ev in ("conflict", "crash"):
-        val = _integer(npi.get(ev, default_config_dict()["cross_entropy"]["n_per_iter"][ev]),
-                       f"cross_entropy.n_per_iter.{ev}")
+    for ev, val in ce["n_per_iter"].items():
+        val = _integer(val, f"cross_entropy.n_per_iter.{ev}")
         if val < 1:
             raise ConfigError(f"cross_entropy.n_per_iter.{ev}: must be >= 1")
         if ce_iterations * val > STREAM_INDICES:
@@ -303,7 +298,6 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
                 f"<= 2^32 (scenario stream indices), got {ce_iterations} x {val}"
             )
         ce_n_per_iter[ev] = val
-    resolved["cross_entropy"]["n_per_iter"] = dict(ce_n_per_iter)
 
     check_every = _integer(resolved["stopping"]["check_every"], "stopping.check_every")
     min_samples = _integer(resolved["stopping"]["min_samples"], "stopping.min_samples")

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 __all__ = [
     "TruncatedPareto",
@@ -35,6 +34,9 @@ __all__ = [
 
 
 _LSQ_NODES = 128  # Gauss-Legendre nodes of the least-squares surrogate fit
+_LSQ_XTOL = 1e-12  # bracket width at which the surrogate fit's polish stops,
+# unless that is under 4 ulp of the bracket, where golden steps stop shrinking it
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step
 
 
 class FitError(RuntimeError):
@@ -103,11 +105,6 @@ class TruncatedPareto:
         else:
             x = np.maximum(x, self.lo)
         return _maybe_scalar(x, u)
-
-    def mean(self) -> float:
-        """Mean of the truncated law, by adaptive quadrature."""
-        val, _ = integrate.quad(lambda x: x * self.pdf(x), self.lo, self.hi, limit=200)
-        return float(val)
 
 
 class TruncatedExponential:
@@ -281,6 +278,7 @@ def fit_pareto(samples, theta: float | None = None) -> FitReport:
     minimum); only shape and scale are optimized, so ``n_params`` is 2.
     Raises :class:`FitError` if the optimizer does not converge.
     """
+    from scipy import optimize  # imported here: only `fit` needs scipy, so runs never load it
     x = np.asarray(samples, dtype=float)
     if x.size < 10:
         raise ValueError("need at least 10 samples")
@@ -342,14 +340,17 @@ def lsq_exponential_of_pareto(p: TruncatedPareto) -> float:
 
     This is the anchor the tilted proposal family is built around: the
     heavy-tailed inverse-range law is replaced by the best exponential
-    approximation on the same truncation range.  The search must bracket
-    an interior minimum; hitting the boundary of the search grid raises
-    :class:`FitError`.
+    approximation on the same truncation range.  A 41-point log grid
+    spanning 10^4 around p's mean above ``lo`` must bracket an interior
+    minimum (hitting its boundary raises :class:`FitError`); a
+    golden-section search then narrows that bracket to ``_LSQ_XTOL``.
 
     The squared error is minimized as ``int g^2 - 2 E_p[g(X)]`` (the
     constant ``int p^2`` dropped): ``int g^2 = 1 / (2 lam tanh((hi-lo) / (2 lam)))``,
     and ``E_p[g]`` is one fixed Gauss-Legendre rule on p's probability
-    scale, with the nodes ``p.ppf(u_i)`` computed once per fit.
+    scale, with the nodes ``p.ppf(u_i)`` computed once per fit.  The same
+    rule gives the mean that centres the grid; its error on heavy tails
+    is far smaller than the grid's span.
     """
     u, w = _gauss_legendre(_LSQ_NODES)
     x = p.ppf(u)
@@ -359,16 +360,22 @@ def lsq_exponential_of_pareto(p: TruncatedPareto) -> float:
         g_sq = 1.0 / (2.0 * lam * math.tanh((p.hi - p.lo) / (2.0 * lam)))
         return g_sq - 2.0 * float((w * g.pdf(x)).sum())
 
-    m = p.mean() - p.lo
+    m = float((w * x).sum()) - p.lo
     grid = np.exp(np.linspace(math.log(m / 100.0), math.log(m * 100.0), 41))
     vals = [objective(g) for g in grid]
     j = int(np.argmin(vals))
     if j == 0 or j == len(grid) - 1:
         raise FitError("no interior least-squares minimum bracketed")
-    res = optimize.minimize_scalar(
-        objective, bounds=(grid[j - 1], grid[j + 1]), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    if not res.success:
-        raise FitError(f"least-squares exponential search failed: {res.message}")
-    return float(res.x)
+    a, b = float(grid[j - 1]), float(grid[j + 1])
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > max(_LSQ_XTOL, 4.0 * math.ulp(b)):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = objective(d)
+    return 0.5 * (a + b)

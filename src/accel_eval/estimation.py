@@ -60,10 +60,6 @@ class EstimatorAccumulator:
     _distance: int = 0
 
     @property
-    def sum_w(self) -> float:
-        return _from_fixed(self._sum_w)
-
-    @property
     def sum_w2(self) -> float:
         return _from_fixed(self._sum_w2)
 

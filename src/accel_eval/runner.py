@@ -126,47 +126,29 @@ def _estimate_combo(
     """Batched estimation for one (event, bin, mode); see module docstring."""
     b = cfg.model.bin_named(bin_name)
     ns = stream_namespace(f"estimate/{event}/{bin_name}/{mode}")
-    n_batches = math.ceil(cfg.n_cap / cfg.check_every)
-
-    def run_batch(k: int):
-        start = k * cfg.check_every
-        count = min(cfg.check_every, cfg.n_cap - start)
-        acc = EstimatorAccumulator()
-        log = [] if keep_log else None
-        for i in range(start, start + count):
-            rng = scenario_stream(cfg.seed, i, ns)
-            s = cfg.model.sample_scenario(b, rng, params)
-            trace = simulate(s, cfg.plant)
-            ind = _indicator(cfg, event, trace)
-            acc.update(ind, s.likelihood, trace.distance_m)
-            if keep_log:
-                log.append(
-                    (i, s.v_l, s.r_inv, s.ttc_inv, s.likelihood, trace.outcome,
-                     trace.min_range, trace.delta_v)
-                )
-        return acc, log
-
     total = EstimatorAccumulator()
     conv: list[tuple[int, float, float | None, float]] = []
     logs: list[tuple] = []
-    converged = False
-
-    def absorb(acc_k, log_k) -> bool:
-        nonlocal total
-        total = merge(total, acc_k)
-        if keep_log:
-            logs.extend(log_k)
+    for start in range(0, cfg.n_cap, cfg.check_every):
+        acc = EstimatorAccumulator()
+        for i in range(start, min(start + cfg.check_every, cfg.n_cap)):
+            rng = scenario_stream(cfg.seed, i, ns)
+            s = cfg.model.sample_scenario(b, rng, params)
+            trace = simulate(s, cfg.plant)
+            acc.update(_indicator(cfg, event, trace), s.likelihood, trace.distance_m)
+            if keep_log:
+                logs.append(
+                    (i, s.v_l, s.r_inv, s.ttc_inv, s.likelihood, trace.outcome,
+                     trace.min_range, trace.delta_v)
+                )
+        total = merge(total, acc)
         if total.n < 2:
-            return False
+            continue
         lr = relative_half_width(total, cfg.confidence)
         conv.append((total.n, total.mean(), lr, total.sample_variance()))
-        return total.n >= cfg.min_samples and lr is not None and lr < cfg.confidence.beta
-
-    for k in range(n_batches):
-        if absorb(*run_batch(k)):
-            converged = True
-            break
-    return total, conv, converged, logs
+        if total.n >= cfg.min_samples and lr is not None and lr < cfg.confidence.beta:
+            return total, conv, True, logs
+    return total, conv, False, logs
 
 
 def _build_row(
@@ -410,7 +392,11 @@ def render_summary(d: dict) -> str:
             + _fmt(r["n_nature"]) + f"  {r['n_nature_source']}"
         )
     if d["ce"]:
-        lines += ["", "cross-entropy tilts:", *_tilt_lines(d["ce"])]
+        # report.json stores ``ce`` under sorted keys; list the tilts in the
+        # order the run searched them, which is the order of the rows.
+        keys = dict.fromkeys(f"{_ce_event_for(r['event'])}/{r['bin']}" for r in d["rows"])
+        ce = {key: d["ce"][key] for key in keys if key in d["ce"]}
+        lines += ["", "cross-entropy tilts:", *_tilt_lines(ce)]
     lines.append("")
     return "\n".join(lines)
 
