@@ -34,13 +34,13 @@ __all__ = [
 
 
 _LSQ_NODES = 128  # Gauss-Legendre nodes of the least-squares surrogate fit
-_LSQ_XTOL = 1e-12  # bracket width at which the surrogate fit's polish stops,
-# unless that is under 4 ulp of the bracket, where golden steps stop shrinking it
+_XTOL = 1e-12  # bracket width at which a golden-section polish stops, unless
+# that is under 4 ulp of the bracket, where golden steps stop shrinking it
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step
 
 
-class FitError(RuntimeError):
-    """A maximum-likelihood or least-squares fit failed to converge."""
+class FitError(ValueError):
+    """A maximum-likelihood or least-squares fit found no usable optimum."""
 
 
 def _maybe_scalar(out: np.ndarray, x: np.ndarray) -> np.ndarray | float:
@@ -276,9 +276,13 @@ def fit_pareto(samples, theta: float | None = None) -> FitReport:
 
     The location ``theta`` is held fixed (defaulting to the sample
     minimum); only shape and scale are optimized, so ``n_params`` is 2.
-    Raises :class:`FitError` if the optimizer does not converge.
+    With ``t = k / sigma`` and excesses ``x = samples - theta`` the best
+    shape is ``k(t) = mean(log1p(t x))``, which leaves the profile
+    log-likelihood ``-n (log k(t) - log t + k(t) + 1)`` (Grimshaw 1993),
+    maximized over ``log(t mean(x))`` on a grid from 1e-12 to 1e6.  A
+    maximum at the low edge is the exponential limit k -> 0 (k ~ 1e-12,
+    sigma ~ mean(x)); one at the high edge raises :class:`FitError`.
     """
-    from scipy import optimize  # imported here: only `fit` needs scipy, so runs never load it
     x = np.asarray(samples, dtype=float)
     if x.size < 10:
         raise ValueError("need at least 10 samples")
@@ -287,38 +291,49 @@ def fit_pareto(samples, theta: float | None = None) -> FitReport:
     if np.any(x < theta):
         raise ValueError("samples must be >= theta")
     excess = x - theta
+    m = float(excess.mean())
+    if not m > 0:
+        raise ValueError("all samples equal theta; the scale cannot be fitted")
     n = int(x.size)
 
-    def nll(t):
-        k = math.exp(t[0])
-        sigma = math.exp(t[1])
-        return n * math.log(sigma) + (1.0 + 1.0 / k) * float(
-            np.sum(np.log1p(k * excess / sigma))
-        )
+    def shape(s: float) -> tuple[float, float]:
+        t = math.exp(s) / m
+        return float(np.log1p(t * excess).mean()), t
 
-    m = float(excess.mean())
-    v = float(excess.var())
-    k0 = min(max((1.0 - m * m / v) / 2.0 if v > 0 else 0.1, 0.02), 0.45)
-    sigma0 = max(m * (1.0 - k0), 1e-12)
-    res = optimize.minimize(
-        nll,
-        [math.log(k0), math.log(sigma0)],
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000},
-    )
-    if not res.success:
-        raise FitError(f"generalized Pareto fit did not converge: {res.message}")
-    k_hat = math.exp(res.x[0])
-    sigma_hat = math.exp(res.x[1])
-    loglik = -float(res.fun)
-    bic = 2 * math.log(n) - 2.0 * loglik
+    def neg_profile(s: float) -> float:
+        k, t = shape(s)
+        return n * (math.log(k) - math.log(t) + k + 1.0)
+
+    grid = np.linspace(math.log(1e-12), math.log(1e6), 41)
+    s_hat, j = _grid_then_golden(neg_profile, grid)
+    if j == len(grid) - 1:
+        raise FitError("generalized Pareto likelihood grows without bound in k / sigma")
+    k_hat, t_hat = shape(s_hat)
+    loglik = -neg_profile(s_hat)
     return FitReport(
-        params={"k": k_hat, "sigma": sigma_hat, "theta": float(theta)},
-        n_params=2,
-        loglik=loglik,
-        bic=bic,
-        n=n,
+        params={"k": k_hat, "sigma": k_hat / t_hat, "theta": float(theta)},
+        n_params=2, loglik=loglik, bic=2 * math.log(n) - 2.0 * loglik, n=n,
     )
+
+
+def _grid_then_golden(f, grid) -> tuple[float, int]:
+    """Golden-section minimum (Kiefer 1953) of ``f`` between the neighbours of
+    its argmin ``j`` over ``grid``; returns it and ``j``, so that each caller
+    decides which edge of the grid is an error."""
+    j = int(np.argmin([f(g) for g in grid]))
+    a, b = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, len(grid) - 1)])
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > max(_XTOL, 4.0 * math.ulp(max(abs(a), abs(b)))):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b), j
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +358,7 @@ def lsq_exponential_of_pareto(p: TruncatedPareto) -> float:
     approximation on the same truncation range.  A 41-point log grid
     spanning 10^4 around p's mean above ``lo`` must bracket an interior
     minimum (hitting its boundary raises :class:`FitError`); a
-    golden-section search then narrows that bracket to ``_LSQ_XTOL``.
+    golden-section search then narrows that bracket to ``_XTOL``.
 
     The squared error is minimized as ``int g^2 - 2 E_p[g(X)]`` (the
     constant ``int p^2`` dropped): ``int g^2 = 1 / (2 lam tanh((hi-lo) / (2 lam)))``,
@@ -362,20 +377,7 @@ def lsq_exponential_of_pareto(p: TruncatedPareto) -> float:
 
     m = float((w * x).sum()) - p.lo
     grid = np.exp(np.linspace(math.log(m / 100.0), math.log(m * 100.0), 41))
-    vals = [objective(g) for g in grid]
-    j = int(np.argmin(vals))
+    lam, j = _grid_then_golden(objective, grid)
     if j == 0 or j == len(grid) - 1:
         raise FitError("no interior least-squares minimum bracketed")
-    a, b = float(grid[j - 1]), float(grid[j + 1])
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > max(_LSQ_XTOL, 4.0 * math.ulp(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = objective(d)
-    return 0.5 * (a + b)
+    return lam

@@ -98,6 +98,26 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "not valid YAML" in capsys.readouterr().err
 
 
+def test_failed_surrogate_fit_exits_1(tmp_path, capsys):
+    # A near-uniform inverse-range law has no interior least-squares
+    # exponential; the fit's error is reported like any other model error.
+    cfg = _config_file(
+        tmp_path,
+        {
+            "seed": 1,
+            "model": {
+                "inverse_range": {
+                    "k": 0.02, "sigma": 1000.0, "theta": 1 / 75, "lo": 1 / 75, "hi": 10.0,
+                }
+            },
+        },
+    )
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: model: no interior least-squares minimum bracketed\n"
+    )
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -186,6 +206,13 @@ def test_fit_errors_exit_1(tmp_path, capsys):
     _write_csv(short, [[10.0, 12.0, 30.0, -1.0]] * 3)
     assert main(["fit", str(short), "--out", str(tmp_path / "m.yaml")]) == 1
     assert "need >= 10" in capsys.readouterr().err
+
+    # Near-ties at the 75 m envelope bound plus one closer cut-in: the
+    # Pareto likelihood peaks beyond the fit's grid, and the fit fails cleanly.
+    ties = tmp_path / "ties.csv"
+    _write_csv(ties, [[10.0, 12.0, 74.99999999, -1.0]] * 19 + [[10.0, 12.0, 30.0, -1.0]])
+    assert main(["fit", str(ties), "--out", str(tmp_path / "m.yaml")]) == 1
+    assert "error: generalized Pareto likelihood grows without bound" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

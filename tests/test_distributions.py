@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 import accel_eval
 from accel_eval.distributions import (
@@ -29,6 +29,8 @@ from accel_eval.distributions import (
     lsq_exponential_of_pareto,
     tilt_exponential,
 )
+
+from test_ingest import _synthetic_rows, _write_csv
 
 # Oracle point: k=0.5, sigma=0.02, theta=lo=1/75, hi=10, evaluated at x=0.05.
 ORACLE_PARETO = dict(k=0.5, sigma=0.02, theta=1 / 75, lo=1 / 75, hi=10.0)
@@ -231,6 +233,60 @@ def test_fit_pareto_default_theta_is_sample_min():
 def test_fit_pareto_needs_enough_samples():
     with pytest.raises(ValueError):
         fit_pareto(np.ones(9))
+    with pytest.raises(ValueError, match="all samples equal theta"):
+        fit_pareto(np.full(20, 0.5))
+
+
+def test_fit_pareto_grid_edges():
+    # This exponential sample's likelihood peaks at k -> 0 (its
+    # unconstrained shape estimate is negative): the fit returns the
+    # exponential limit, whose scale is the mean excess.
+    rng = np.random.default_rng(0)
+    xs = 1 / 75 + rng.exponential(0.02, 1000)
+    rep = fit_pareto(xs, theta=1 / 75)
+    assert rep.params["k"] < 1e-9
+    assert rep.params["sigma"] == pytest.approx(float(np.mean(xs - 1 / 75)), rel=1e-9)
+    # Ties at theta plus one larger sample: the likelihood grows without
+    # bound in k / sigma, so there is no estimate to return.
+    with pytest.raises(FitError):
+        fit_pareto([0.5] * 19 + [0.6])
+
+
+def _nelder_mead_pareto_loglik(x, theta):
+    """Log-likelihood at a 2-D Nelder-Mead fit over (log k, log sigma), from a
+    moment-based start: the earlier fit, kept as an oracle."""
+    excess = np.asarray(x) - theta
+    n = excess.size
+
+    def nll(t):
+        k, sigma = math.exp(t[0]), math.exp(t[1])
+        return n * math.log(sigma) + (1.0 + 1.0 / k) * float(np.sum(np.log1p(k * excess / sigma)))
+
+    m, v = float(excess.mean()), float(excess.var())
+    k0 = min(max((1.0 - m * m / v) / 2.0 if v > 0 else 0.1, 0.02), 0.45)
+    sigma0 = max(m * (1.0 - k0), 1e-12)
+    res = optimize.minimize(
+        nll, [math.log(k0), math.log(sigma0)], method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000},
+    )
+    return -float(res.fun)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.floats(0.001, 0.5),
+    sigma=st.floats(0.005, 0.2),
+    n=st.integers(50, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_pareto_matches_nelder_mead(k, sigma, n, seed):
+    theta = 1 / 75
+    xs = TruncatedPareto(k, sigma, theta, theta, math.inf).ppf(
+        np.random.default_rng(seed).random(n)
+    )
+    rep = fit_pareto(xs, theta=theta)
+    oracle = _nelder_mead_pareto_loglik(xs, theta)
+    assert rep.loglik >= oracle - 1e-9 * abs(oracle)
 
 
 def test_lsq_surrogate_mean_frozen_and_locally_optimal():
@@ -277,20 +333,27 @@ def test_lsq_surrogate_beats_nearby_means(k, sigma, hi):
     assert err < _squared_error_by_quad(p, lam * 1.01)
 
 
-def test_run_path_loads_no_scipy():
-    # Only the `fit` subcommand needs scipy: importing the CLI and parsing
-    # a config, which every other subcommand does, must not load it.
+def test_run_path_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only: importing the CLI and parsing a
+    # config, which `run`, `estimate`, `search` and `report` do, and the
+    # `fit` subcommand must all run without loading it.
     config = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
-    code = (
-        "import sys, accel_eval.cli\n"
-        f"accel_eval.load_config({str(config)!r})\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-    )
+    data = tmp_path / "events.csv"
+    _write_csv(data, _synthetic_rows(300, seed=41))
+    cases = {
+        "config": f"accel_eval.load_config({str(config)!r})",
+        "fit": f"accel_eval.cli.main(['fit', {str(data)!r}, '--out', {str(tmp_path / 'm.yaml')!r}])",
+    }
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(accel_eval.__file__))}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    for name, call in cases.items():
+        code = (
+            f"import sys, accel_eval.cli\n{call}\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]", name
 
 
 def test_empirical_dist_masses_and_ranges():
