@@ -36,42 +36,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser, with_selection: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="YAML experiment configuration")
     p.add_argument("--out", default="out", help="output directory (default: ./out)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    if with_selection:
-        p.add_argument(
-            "--event", action="append", choices=["conflict", "crash", "injury"],
-            default=None, help="restrict to an event type (repeatable)",
-        )
-        p.add_argument(
-            "--mode", action="append", choices=["cmc", "is"], default=None,
-            help="restrict to an estimation mode (repeatable)",
-        )
-        p.add_argument(
-            "--bin", action="append", default=None,
-            help="restrict to a velocity bin name (repeatable)",
-        )
-        p.add_argument("--n-cap", type=int, default=None, help="override the sample cap")
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="validated but selects nothing; batches run in one thread",
-        )
-        p.add_argument(
-            "--verbose-traces", action="store_true",
-            help="also write per-scenario logs and event traces",
-        )
+    p.add_argument(
+        "--event", action="append", choices=["conflict", "crash", "injury"],
+        default=None, help="restrict to an event type (repeatable)",
+    )
+    p.add_argument(
+        "--bin", action="append", default=None,
+        help="restrict to a velocity bin name (repeatable)",
+    )
+    p.add_argument(
+        "--workers", type=int, default=None,
+        help="validated but selects nothing; batches run in one thread",
+    )
+
+
+def _add_estimation(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument(
+        "--mode", action="append", choices=["cmc", "is"], default=None,
+        help="restrict to an estimation mode (repeatable)",
+    )
+    p.add_argument("--n-cap", type=int, default=None, help="override the sample cap")
+    p.add_argument(
+        "--verbose-traces", action="store_true",
+        help="also write per-scenario logs and event traces",
+    )
 
 
 def _overrides(args: argparse.Namespace) -> dict:
     return {
         "seed": args.seed,
-        "events": getattr(args, "event", None),
-        "modes": getattr(args, "mode", None),
-        "bins": getattr(args, "bin", None),
+        "events": args.event,
+        "modes": getattr(args, "mode", None),  # search takes no --mode or --n-cap
+        "bins": args.bin,
         "n_cap": getattr(args, "n_cap", None),
-        "workers": getattr(args, "workers", None),
+        "workers": args.workers,
     }
 
 
@@ -83,24 +86,21 @@ def _build_parser() -> _Parser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    runp = sub.add_parser("run", help="cross-entropy search plus estimation, end to end")
-    _add_common(runp)
-
-    estp = sub.add_parser(
+    _add_estimation(sub.add_parser("run", help="cross-entropy search plus estimation, end to end"))
+    _add_estimation(sub.add_parser(
         "estimate",
         help="estimation only; importance sampling uses warm-start tilts when given",
-    )
-    _add_common(estp)
+    ))
+    _add_common(sub.add_parser("search", help="cross-entropy tilt search only"))
 
-    srchp = sub.add_parser("search", help="cross-entropy tilt search only")
-    _add_common(srchp)
-
-    fitp = sub.add_parser("fit", help="fit the scenario model from an event CSV")
+    # Bin settings left out keep the defaults of ingest.build_model_section.
+    fitp = sub.add_parser("fit", help="fit the scenario model from an event CSV",
+                          argument_default=argparse.SUPPRESS)
     fitp.add_argument("data", help="CSV with columns v, v_l, r_l, r_l_dot")
     fitp.add_argument("--out", default="model.yaml", help="where to write the model section")
-    fitp.add_argument("--v-bin-width", type=float, default=2.0, help="lead-speed histogram bin width, m/s")
-    fitp.add_argument("--ttc-speed-bin-width", type=float, default=5.0, help="speed interval width for inverse-TTC means, m/s")
-    fitp.add_argument("--min-bin-count", type=int, default=10, help="records required before an interval contributes")
+    fitp.add_argument("--v-bin-width", type=float, help="lead-speed histogram bin width, m/s")
+    fitp.add_argument("--ttc-speed-bin-width", type=float, help="speed interval width for inverse-TTC means, m/s")
+    fitp.add_argument("--min-bin-count", type=int, help="records required before an interval contributes")
 
     repp = sub.add_parser("report", help="re-render a stored report.json")
     repp.add_argument("result_dir", help="directory holding report.json")
@@ -134,12 +134,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {os.path.join(args.out, 'summary.txt')}")
             return 0
         if args.command == "fit":
-            fragment, summary = fit_naturalistic(
-                args.data,
-                v_bin_width=args.v_bin_width,
-                ttc_speed_bin_width=args.ttc_speed_bin_width,
-                min_bin_count=args.min_bin_count,
-            )
+            bin_settings = {k: v for k, v in vars(args).items()
+                            if k not in ("command", "data", "out")}
+            fragment, summary = fit_naturalistic(args.data, **bin_settings)
             with open(args.out, "w", encoding="utf-8") as fh:
                 yaml.safe_dump(fragment, fh, sort_keys=False)
             sys.stdout.write(render_fit_summary(summary))

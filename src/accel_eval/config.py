@@ -16,10 +16,12 @@ subcommand before drawing conclusions about a real system.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -31,6 +33,8 @@ from .plant import AvConfig
 from .scenario import STREAM_INDICES, ProposalParams, ScenarioModel, VelocityBin
 
 __all__ = [
+    "R_RANGE",
+    "V_RANGE",
     "ConfigError",
     "ExperimentConfig",
     "default_config_dict",
@@ -42,12 +46,17 @@ __all__ = [
 EVENTS = ("conflict", "crash", "injury")
 MODES = ("cmc", "is")
 
-_V_EDGES = [float(v) for v in range(2, 41, 2)]
+# The studied cut-in envelope.  Past 75 m a lane change is no longer a
+# cut-in ahead; under 0.1 m it is already contact.
+V_RANGE = (2.0, 40.0)  # m/s, either vehicle
+R_RANGE = (0.1, 75.0)  # m, range at cut-in
+
+_V_EDGES = [float(v) for v in range(int(V_RANGE[0]), int(V_RANGE[1]) + 1, 2)]
 _V_WEIGHTS = [1, 2, 4, 7, 9, 8, 6, 4, 3, 3, 4, 6, 8, 9, 8, 6, 4, 2, 1]
 _V_MASS = [w / sum(_V_WEIGHTS) for w in _V_WEIGHTS]
 
-_R_INV_LO = 1.0 / 75.0  # 1/m, ranges past 75 m are no longer a cut-in ahead
-_R_INV_HI = 1.0 / 0.1  # 1/m, ranges under 0.1 m are already contact
+_R_INV_LO = 1.0 / R_RANGE[1]  # 1/m
+_R_INV_HI = 1.0 / R_RANGE[0]  # 1/m
 
 
 def _as_lists(value):
@@ -155,10 +164,17 @@ def _merge(base: dict, override: dict, path: str) -> dict:
             out[key] = copy.deepcopy(value)
     return out
 
-def _number(value, path: str) -> float:
+def _number(value, path: str, allow_inf: bool = False) -> float:
+    """A finite float; ``allow_inf`` also admits +inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer past the float range
+        x = math.inf if value > 0 else -math.inf
+    if not (math.isfinite(x) or (allow_inf and x == math.inf)):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return x
 
 
 def _integer(value, path: str) -> int:
@@ -167,12 +183,48 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _list(value, path: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list, got {value!r}")
+    return list(value)
+
+
+def _numbers(value, path: str) -> list[float]:
+    return [_number(x, path) for x in _list(value, path)]
+
+
+def _distinct_names(value, path: str, allowed, expand_all: bool = False) -> list[str]:
+    """A non-empty list of distinct entries of ``allowed``; with
+    ``expand_all``, ``[all]`` stands for every entry."""
+    ok = isinstance(value, (list, tuple)) and all(isinstance(n, str) for n in value)
+    if ok and expand_all and list(value) == ["all"]:
+        return list(allowed)
+    if not ok or not value or len(set(value)) != len(value) or any(n not in allowed for n in value):
+        either = "'all' or " if expand_all else ""
+        raise ConfigError(
+            f"{path}: expected a list of {either}distinct entries from {list(allowed)}, "
+            f"got {value!r}"
+        )
+    return list(value)
+
+
 def _pairs(value, path: str) -> list[tuple[float, float]]:
     if not isinstance(value, (list, tuple)) or any(
         not isinstance(p, (list, tuple)) or len(p) != 2 for p in value
     ):
         raise ConfigError(f"{path}: expected a list of [x, y] pairs")
     return [(_number(p[0], path), _number(p[1], path)) for p in value]
+
+
+@contextlib.contextmanager
+def _prefixed(path: str):
+    """Re-raise a component's ValueError as a ConfigError on ``path``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def _build_section(cls, section: str, values: dict):
@@ -193,45 +245,39 @@ def _build_section(cls, section: str, values: dict):
             kwargs[f.name] = str(value)
         else:
             kwargs[f.name] = _number(value, path)
-    try:
+    with _prefixed(section):
         return cls(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"{section}: {e}") from e
 
 
 def _build_model(section: dict, path: str) -> ScenarioModel:
     vel = section["velocity"]
-    try:
-        v_dist = EmpiricalDist(vel["bin_edges"], vel["bin_mass"])
-    except ValueError as e:
-        raise ConfigError(f"{path}.velocity: {e}") from e
+    with _prefixed(f"{path}.velocity"):
+        v_dist = EmpiricalDist(
+            _numbers(vel["bin_edges"], f"{path}.velocity.bin_edges"),
+            _numbers(vel["bin_mass"], f"{path}.velocity.bin_mass"),
+        )
     inv = section["inverse_range"]
-    try:
+    with _prefixed(f"{path}.inverse_range"):
         r_inv_dist = TruncatedPareto(
             _number(inv["k"], f"{path}.inverse_range.k"),
             _number(inv["sigma"], f"{path}.inverse_range.sigma"),
             _number(inv["theta"], f"{path}.inverse_range.theta"),
             _number(inv["lo"], f"{path}.inverse_range.lo"),
-            _number(inv["hi"], f"{path}.inverse_range.hi"),
+            _number(inv["hi"], f"{path}.inverse_range.hi", allow_inf=True),
         )
-    except ValueError as e:
-        raise ConfigError(f"{path}.inverse_range: {e}") from e
     ttc = section["ttc_lambda"]
     bins = []
-    for i, b in enumerate(section["velocity_bins"]):
+    for i, b in enumerate(_list(section["velocity_bins"], f"{path}.velocity_bins")):
         bpath = f"{path}.velocity_bins[{i}]"
         b = _require_map(b, bpath)
-        unknown = set(b) - {"name", "lo", "hi"}
-        if unknown:
-            raise ConfigError(f"{bpath}: unknown key(s) {sorted(unknown)}")
-        try:
+        if set(b) != {"name", "lo", "hi"}:
+            raise ConfigError(f"{bpath}: expected the keys name, lo and hi, got {list(b)}")
+        with _prefixed(bpath):
             bins.append(
                 VelocityBin(str(b["name"]), _number(b["lo"], bpath), _number(b["hi"], bpath))
             )
-        except (KeyError, ValueError) as e:
-            raise ConfigError(f"{bpath}: {e}") from e
     exp_mean = section["exp_approx_mean"]
-    try:
+    with _prefixed(path):
         return ScenarioModel(
             v_dist=v_dist,
             r_inv_dist=r_inv_dist,
@@ -240,8 +286,6 @@ def _build_model(section: dict, path: str) -> ScenarioModel:
             r_inv_exp_mean=None if exp_mean is None else _number(exp_mean, f"{path}.exp_approx_mean"),
             lambda_floor=_number(ttc["floor"], f"{path}.ttc_lambda.floor"),
         )
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
 
 
 def parse_config(data: dict[str, Any]) -> ExperimentConfig:
@@ -256,20 +300,15 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
 
     model = _build_model(_require_map(resolved["model"], "model"), "model")
     resolved["model"]["exp_approx_mean"] = model.r_inv_exp_mean
+    if model.r_inv_dist.hi == math.inf:
+        # Reports are strict JSON, which has no infinity: record an
+        # unbounded inverse-range law as null.
+        resolved["model"]["inverse_range"]["hi"] = None
 
-    events = list(resolved["events"])
-    if not events or len(set(events)) != len(events) or any(e not in EVENTS for e in events):
-        raise ConfigError(f"events: expected distinct entries from {list(EVENTS)}, got {events}")
-    modes = list(resolved["modes"])
-    if not modes or len(set(modes)) != len(modes) or any(m not in MODES for m in modes):
-        raise ConfigError(f"modes: expected distinct entries from {list(MODES)}, got {modes}")
-
+    events = _distinct_names(resolved["events"], "events", EVENTS)
+    modes = _distinct_names(resolved["modes"], "modes", MODES)
     bin_names = [b.name for b in model.bins]
-    bins = list(resolved["bins"])
-    if bins == ["all"]:
-        bins = bin_names
-    if not bins or len(set(bins)) != len(bins) or any(b not in bin_names for b in bins):
-        raise ConfigError(f"bins: expected 'all' or distinct entries from {bin_names}, got {bins}")
+    bins = _distinct_names(resolved["bins"], "bins", bin_names, expand_all=True)
     for name in bins:
         b = model.bin_named(name)
         if model.v_dist.mass_in_range(b.lo, b.hi) <= 0.0:
@@ -330,16 +369,14 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
             tilts = _require_map(tilts, wpath)
             unknown = set(tilts) - {"vartheta_r", "vartheta_ttc"}
             if unknown:
-                raise ConfigError(f"{wpath}: unknown key(s) {sorted(unknown)}")
+                raise ConfigError(f"{wpath}: unknown key(s) {sorted(map(str, unknown))}")
             p = ProposalParams(
                 vartheta_r=_number(tilts.get("vartheta_r", 0.0), f"{wpath}.vartheta_r"),
                 vartheta_ttc=_number(tilts.get("vartheta_ttc", 0.0), f"{wpath}.vartheta_ttc"),
                 bin_name=bname,
             )
-            try:
+            with _prefixed(wpath):
                 model.validate_proposal(p)
-            except ValueError as e:
-                raise ConfigError(f"{wpath}: {e}") from e
             warm_start[ev][bname] = p
 
     return ExperimentConfig(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import default_config_dict
+from .config import R_RANGE, V_RANGE, default_config_dict
 from .distributions import FitReport, fit_exponential_mle, fit_pareto
 
 __all__ = [
@@ -26,9 +26,7 @@ __all__ = [
     "fit_naturalistic",
 ]
 
-V_RANGE = (2.0, 40.0)  # m/s, either vehicle
 MAX_V_INTERVALS = 1000  # most intervals a speed bin width may split V_RANGE into
-R_RANGE = (0.1, 75.0)  # m, range at cut-in
 
 _COLUMNS = ("v", "v_l", "r_l", "r_l_dot")
 

@@ -337,21 +337,15 @@ def write_search_outputs(d: dict, out_dir: str) -> None:
         "",
     ]
     _write(os.path.join(out_dir, "summary.txt"), "\n".join(lines))
-    _write(
-        os.path.join(out_dir, "search.json"),
-        json.dumps(d, sort_keys=True, indent=2) + "\n",
-    )
+    _write_json(os.path.join(out_dir, "search.json"), d)
     _write_ce_csvs(d, out_dir)
 
 
 def _write_ce_csvs(d: dict, out_dir: str) -> None:
     for key, st in d["ce"].items():
         name = "ce_history_" + key.replace("/", "_") + ".csv"
-        text = "iteration,vartheta_r,vartheta_ttc,hits,n\n" + "".join(
-            f"{it},{_csv_cell(vr)},{_csv_cell(vt)},{hits},{n}\n"
-            for it, vr, vt, hits, n in st["history"]
-        )
-        _write(os.path.join(out_dir, name), text)
+        _write_csv(os.path.join(out_dir, name), "iteration,vartheta_r,vartheta_ttc,hits,n",
+                   st["history"])
 
 
 def _fmt(x, width: int = 12) -> str:
@@ -404,7 +398,7 @@ def render_summary(d: dict) -> str:
 def _csv_cell(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return str(x)
     return repr(float(x))
 
@@ -412,6 +406,15 @@ def _csv_cell(x) -> str:
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    _write(path, header + "\n" + "".join(",".join(map(_csv_cell, r)) + "\n" for r in rows))
+
+
+def _write_json(path: str, d: dict) -> None:
+    # Strict JSON: a NaN or infinity raises instead of writing a non-standard token.
+    _write(path, json.dumps(d, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_outputs(d: dict, out_dir: str, report: RunReport | None = None) -> None:
@@ -423,17 +426,10 @@ def write_outputs(d: dict, out_dir: str, report: RunReport | None = None) -> Non
     """
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "summary.txt"), render_summary(d))
-    _write(
-        os.path.join(out_dir, "report.json"),
-        json.dumps(d, sort_keys=True, indent=2) + "\n",
-    )
+    _write_json(os.path.join(out_dir, "report.json"), d)
     for key, rows in d["convergence"].items():
         name = "convergence_" + key.replace("/", "_") + ".csv"
-        text = "n,estimate,rel_half_width,sample_variance\n" + "".join(
-            f"{n},{_csv_cell(est)},{_csv_cell(lr)},{_csv_cell(var)}\n"
-            for n, est, lr, var in rows
-        )
-        _write(os.path.join(out_dir, name), text)
+        _write_csv(os.path.join(out_dir, name), "n,estimate,rel_half_width,sample_variance", rows)
     _write_ce_csvs(d, out_dir)
     if report is not None and report.scenario_logs:
         _write_scenario_logs(report, out_dir)
@@ -443,26 +439,18 @@ def _write_scenario_logs(report: RunReport, out_dir: str) -> None:
     cfg = report.cfg
     for key, rows in report.scenario_logs.items():
         name = "scenarios_" + key.replace("/", "_") + ".csv"
-        text = "index,v_l,r_inv,ttc_inv,likelihood,outcome,min_range,delta_v\n" + "".join(
-            f"{i},{_csv_cell(v_l)},{_csv_cell(r_inv)},{_csv_cell(ttc_inv)},"
-            f"{_csv_cell(lik)},{outcome},{_csv_cell(mr)},{_csv_cell(dv)}\n"
-            for i, v_l, r_inv, ttc_inv, lik, outcome, mr, dv in rows
-        )
-        _write(os.path.join(out_dir, name), text)
+        _write_csv(os.path.join(out_dir, name),
+                   "index,v_l,r_inv,ttc_inv,likelihood,outcome,min_range,delta_v", rows)
         trace_dir = os.path.join(out_dir, "traces", key.replace("/", "_"))
         picked = [r for r in rows if r[5] != "none"][:_MAX_TRACE_FILES]
         if picked:
             os.makedirs(trace_dir, exist_ok=True)
-        for i, v_l, r_inv, ttc_inv, _lik, _outcome, _mr, _dv in picked:
+        for i, v_l, r_inv, ttc_inv, *_ in picked:
             rdot, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
             s = ScenarioSample(
                 v_l=v_l, r_inv=r_inv, ttc_inv=ttc_inv, r0=r0, rdot=rdot, v0=v0,
                 likelihood=1.0,
             )
             trace = simulate(s, cfg.plant, record=True)
-            text = "t,r,v,a_cmd,a,mode\n" + "".join(
-                f"{_csv_cell(st.t)},{_csv_cell(st.r)},{_csv_cell(st.v)},"
-                f"{_csv_cell(st.a_cmd)},{_csv_cell(st.a)},{st.mode}\n"
-                for st in trace.states
-            )
-            _write(os.path.join(trace_dir, f"{i:06d}.csv"), text)
+            _write_csv(os.path.join(trace_dir, f"{i:06d}.csv"), "t,r,v,a_cmd,a,mode",
+                       ((st.t, st.r, st.v, st.a_cmd, st.a, st.mode) for st in trace.states))

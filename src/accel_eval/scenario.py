@@ -134,6 +134,10 @@ class ScenarioModel:
         Mean of the exponential surrogate for the inverse-range law.  If
         given it must match the least-squares recomputation to 1e-9;
         when omitted it is computed here.
+
+    The untilted surrogate itself, a :class:`TruncatedExponential` on the
+    inverse-range support, is built once and kept as ``r_inv_surrogate``;
+    importance-sampling proposals tilt it.
     """
 
     def __init__(
@@ -158,6 +162,8 @@ class ScenarioModel:
         if not lambda_floor > 0:
             raise ValueError(f"lambda_floor must be > 0, got {lambda_floor}")
         self.ttc_lambda_table = table
+        self._ttc_speeds = speeds
+        self._ttc_means = [lam for _, lam in table]
         self.lambda_floor = float(lambda_floor)
 
         self.bins = tuple(bins)
@@ -180,6 +186,7 @@ class ScenarioModel:
                 f"recomputation {recomputed}"
             )
         self.r_inv_exp_mean = recomputed
+        self.r_inv_surrogate = TruncatedExponential(recomputed, r_inv_dist.lo, r_inv_dist.hi)
 
     def lambda_ttc(self, v_l: float) -> float:
         """Inverse-TTC mean at lead speed ``v_l`` (interpolated, floored)."""
@@ -193,9 +200,7 @@ class ScenarioModel:
             (x0, y0), (x1, y1) = pts[-2], pts[-1]
             lam = y1 + (v_l - x1) * (y1 - y0) / (x1 - x0)
         else:
-            xs = [p[0] for p in pts]
-            ys = [p[1] for p in pts]
-            lam = float(np.interp(v_l, xs, ys))
+            lam = float(np.interp(v_l, self._ttc_speeds, self._ttc_means))
         return max(self.lambda_floor, lam)
 
     def bin_named(self, name: str) -> VelocityBin:
@@ -229,20 +234,6 @@ class ScenarioModel:
                 f"{lam_min} over bin {p.bin_name!r}"
             )
 
-    def r_inv_surrogate(self) -> TruncatedExponential:
-        """Exponential stand-in for the inverse-range law (untilted)."""
-        d = self.r_inv_dist
-        return TruncatedExponential(self.r_inv_exp_mean, d.lo, d.hi)
-
-    def r_inv_proposal(self, vartheta_r: float) -> TruncatedExponential:
-        return tilt_exponential(self.r_inv_surrogate(), vartheta_r)
-
-    def ttc_inv_original(self, v_l: float) -> TruncatedExponential:
-        return TruncatedExponential(self.lambda_ttc(v_l), 0.0, math.inf)
-
-    def ttc_inv_proposal(self, v_l: float, vartheta_ttc: float) -> TruncatedExponential:
-        return tilt_exponential(self.ttc_inv_original(v_l), vartheta_ttc)
-
     def sample_scenario(
         self,
         bin_range: VelocityBin,
@@ -256,18 +247,19 @@ class ScenarioModel:
         """
         u_bin, u_pos, u_r, u_ttc = rng.random(4)
         v_l = self.v_dist.sample_in_range(bin_range.lo, bin_range.hi, u_bin, u_pos)
+        ttc_law = TruncatedExponential(self.lambda_ttc(v_l), 0.0, math.inf)
         if proposal is None:
             r_inv = float(self.r_inv_dist.ppf(u_r))
-            ttc_inv = float(self.ttc_inv_original(v_l).ppf(u_ttc))
+            ttc_inv = float(ttc_law.ppf(u_ttc))
             likelihood = 1.0
         else:
-            r_prop = self.r_inv_proposal(proposal.vartheta_r)
-            t_prop = self.ttc_inv_proposal(v_l, proposal.vartheta_ttc)
+            r_prop = tilt_exponential(self.r_inv_surrogate, proposal.vartheta_r)
+            t_prop = tilt_exponential(ttc_law, proposal.vartheta_ttc)
             r_inv = float(r_prop.ppf(u_r))
             ttc_inv = float(t_prop.ppf(u_ttc))
             # Lead speed cancels: it is drawn from the same law either way.
             lr_r = float(self.r_inv_dist.pdf(r_inv)) / float(r_prop.pdf(r_inv))
-            lr_t = float(exp_density_ratio(self.ttc_inv_original(v_l), t_prop, ttc_inv))
+            lr_t = float(exp_density_ratio(ttc_law, t_prop, ttc_inv))
             likelihood = lr_r * lr_t
         rdot, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
         return ScenarioSample(

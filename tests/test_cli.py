@@ -241,3 +241,61 @@ def test_report_rerenders_stored_results(tmp_path, capsys):
 
     assert main(["report", str(tmp_path / "void"), "--out", str(second)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_empty_list_key_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("seed: 1\nevents:\n", encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: events: expected a list")
+
+
+@pytest.mark.parametrize("flags", [["--verbose-traces"], ["--mode", "is"], ["--n-cap", "5"]])
+def test_search_rejects_estimation_flags(tmp_path, capsys, flags):
+    cfg = _fast_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--config", cfg, "--out", str(tmp_path / "out"), *flags])
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_search_takes_selection_flags(tmp_path, capsys):
+    cfg = _config_file(
+        tmp_path,
+        {"seed": 8, "cross_entropy": {"iterations": 1, "n_per_iter": {"conflict": 50}}},
+    )
+    out = tmp_path / "out"
+    assert main(["search", "--config", cfg, "--out", str(out), "--bin", "low",
+                 "--event", "conflict", "--workers", "2"]) == 0
+    capsys.readouterr()
+    assert list(json.loads((out / "search.json").read_text(encoding="utf-8"))["ce"]) == [
+        "conflict/low"
+    ]
+
+
+def test_reports_are_strict_json_with_an_unbounded_range_law(tmp_path, capsys):
+    cfg = _fast_config(
+        tmp_path, model={"inverse_range": {"hi": float("inf")}}, warm_start={}
+    )
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) in (0, 2)
+    capsys.readouterr()
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    text = (out / "report.json").read_text(encoding="utf-8")
+    report = json.loads(text, parse_constant=reject)
+    assert report["resolved_config"]["model"]["inverse_range"]["hi"] is None
+
+
+def test_fit_flags_default_to_the_fit_defaults(tmp_path, capsys):
+    from accel_eval.ingest import fit_naturalistic
+
+    data = tmp_path / "events.csv"
+    _write_csv(data, _synthetic_rows(300, seed=41))
+    out = tmp_path / "m.yaml"
+    assert main(["fit", str(data), "--out", str(out)]) == 0
+    capsys.readouterr()
+    fragment, _ = fit_naturalistic(str(data))
+    assert out.read_text(encoding="utf-8") == yaml.safe_dump(fragment, sort_keys=False)

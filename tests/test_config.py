@@ -64,6 +64,9 @@ def test_unknown_keys_report_their_full_path():
         parse_config({"seed": 1, "plant": {"bogus": 1.0}})
     with pytest.raises(ConfigError, match=r"model\.inverse_range\.kk"):
         parse_config({"seed": 1, "model": {"inverse_range": {"kk": 0.5}}})
+    for b in ({"name": "a", "lo": 2.0}, {"name": "a", "lo": 2.0, "hi": 40.0, "x": 1}):
+        with pytest.raises(ConfigError, match=r"^model\.velocity_bins\[0\]: expected the keys"):
+            parse_config({"seed": 1, "model": {"velocity_bins": [b]}})
 
 
 def test_events_and_modes_validation():
@@ -129,6 +132,8 @@ def test_warm_start_violations_name_the_path():
         parse_config({"seed": 1, "warm_start": {"crash": {"urban": {}}}})
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config({"seed": 1, "warm_start": {"crash": {"low": {"theta": 1.0}}}})
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['1', 'theta'\]"):
+        parse_config({"seed": 1, "warm_start": {"crash": {"low": {1: 2, "theta": 1.0}}}})
 
 
 def test_count_bounds():
@@ -246,3 +251,85 @@ def test_default_dict_is_a_fresh_copy():
     d1 = default_config_dict()
     d1["plant"]["ts"] = 123.0
     assert default_config_dict()["plant"]["ts"] == 0.1
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    [
+        ({"events": None}, "events"),
+        ({"events": "conflict"}, "events"),
+        ({"events": ["conflict", 5]}, "events"),
+        ({"modes": "is"}, "modes"),
+        ({"modes": [["is"]]}, "modes"),
+        ({"bins": 5}, "bins"),
+        ({"bins": "all"}, "bins"),
+        ({"bins": [["low"]]}, "bins"),
+        ({"model": {"velocity_bins": None}}, r"model\.velocity_bins"),
+        ({"model": {"velocity": {"bin_edges": {"a": 1}}}}, r"model\.velocity\.bin_edges"),
+        ({"model": {"velocity": {"bin_mass": None}}}, r"model\.velocity\.bin_mass"),
+        ({"model": {"velocity": {"bin_mass": [[0.5], [0.5]]}}}, r"model\.velocity\.bin_mass"),
+    ],
+)
+def test_list_keys_reject_non_lists_by_name(data, path):
+    # Each bad value is a ConfigError on its own key, never a TypeError.
+    with pytest.raises(ConfigError, match=f"^{path}: expected a (list|number)"):
+        parse_config({"seed": 1, **data})
+
+
+def test_name_lists_accept_tuples_and_expand_all():
+    cfg = parse_config({"seed": 1, "events": ("crash",), "bins": ("all",)})
+    assert cfg.events == ("crash",)
+    assert cfg.bins == ("low", "medium", "high")
+    with pytest.raises(ConfigError, match=r"^bins: expected a list of 'all' or distinct"):
+        parse_config({"seed": 1, "bins": ["all", "low"]})
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    [
+        ({"r_lc": INF}, "r_lc"),
+        ({"r_lc": 10**400}, "r_lc"),
+        ({"plant": {"ts": INF}}, r"plant\.ts"),
+        ({"injury": {"b1": NAN}}, r"injury\.b1"),
+        ({"confidence": {"beta": NAN}}, r"confidence\.beta"),
+        ({"model": {"inverse_range": {"k": NAN}}}, r"model\.inverse_range\.k"),
+        ({"model": {"inverse_range": {"hi": NAN}}}, r"model\.inverse_range\.hi"),
+        ({"model": {"inverse_range": {"hi": -INF}}}, r"model\.inverse_range\.hi"),
+        ({"model": {"inverse_range": {"hi": -(10**400)}}}, r"model\.inverse_range\.hi"),
+        ({"model": {"exp_approx_mean": NAN}}, r"model\.exp_approx_mean"),
+        ({"model": {"ttc_lambda": {"floor": INF}}}, r"model\.ttc_lambda\.floor"),
+        ({"model": {"ttc_lambda": {"table": [[5.0, NAN]]}}}, r"model\.ttc_lambda\.table"),
+        ({"model": {"velocity": {"bin_edges": [2.0, INF]}}}, r"model\.velocity\.bin_edges"),
+        ({"model": {"velocity_bins": [{"name": "all", "lo": 2.0, "hi": INF}]}},
+         r"model\.velocity_bins\[0\]"),
+        ({"warm_start": {"conflict": {"low": {"vartheta_r": -INF}}}},
+         r"warm_start\.conflict\.low\.vartheta_r"),
+    ],
+)
+def test_non_finite_numbers_are_rejected_by_name(data, path):
+    with pytest.raises(ConfigError, match=f"^{path}: expected a finite number"):
+        parse_config({"seed": 1, **data})
+
+
+def test_inverse_range_may_be_unbounded_above():
+    # TruncatedPareto supports hi = inf; the resolved settings record it
+    # as null, since strict JSON has no infinity.
+    cfg = parse_config({"seed": 1, "model": {"inverse_range": {"hi": INF}}})
+    assert cfg.model.r_inv_dist.hi == INF
+    assert cfg.resolved["model"]["inverse_range"]["hi"] is None
+    assert config_digest(cfg.resolved) != config_digest(parse_config({"seed": 1}).resolved)
+
+
+def test_default_envelope_is_written_once():
+    from accel_eval import ingest
+    from accel_eval.config import R_RANGE, V_RANGE
+
+    assert ingest.V_RANGE is V_RANGE and ingest.R_RANGE is R_RANGE
+    model = default_config_dict()["model"]
+    edges = model["velocity"]["bin_edges"]
+    assert (edges[0], edges[-1]) == V_RANGE
+    inv = model["inverse_range"]
+    assert (inv["lo"], inv["hi"]) == (1.0 / R_RANGE[1], 1.0 / R_RANGE[0])

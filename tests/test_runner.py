@@ -255,3 +255,15 @@ def test_search_outputs_files(tmp_path):
     assert "conflict/high" in text
     loaded = json.loads((out / "search.json").read_text(encoding="utf-8"))
     assert loaded == json.loads(json.dumps(d))
+
+
+def test_json_outputs_refuse_non_finite_numbers(tmp_path):
+    # report.json and search.json are strict JSON: a NaN or infinity is an
+    # error at write time, not an "NaN"/"Infinity" token in the file.
+    cfg = parse_config({"seed": 8})
+    d = search_to_dict(cfg, {})
+    d["resolved_config"]["r_lc"] = math.nan
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_search_outputs(d, str(tmp_path / "search"))
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_outputs({**d, "rows": [], "convergence": {}}, str(tmp_path / "run"))

@@ -166,7 +166,7 @@ def test_identity_proposal_weight_is_surrogate_ratio():
     b = m.bin_named("low")
     ns = stream_namespace("test/identity")
     prop = ProposalParams(0.0, 0.0, "low")
-    surrogate = m.r_inv_surrogate()
+    surrogate = m.r_inv_surrogate
     for i in range(100):
         s = m.sample_scenario(b, scenario_stream(11, i, ns), prop)
         expect = float(m.r_inv_dist.pdf(s.r_inv)) / float(surrogate.pdf(s.r_inv))
