@@ -27,6 +27,8 @@ from .runner import (
 
 __all__ = ["main"]
 
+_REPORT_KEYS = ("provenance", "resolved_config", "rows", "ce", "convergence")
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; keep 2 for "did not
@@ -146,6 +148,10 @@ def main(argv: list[str] | None = None) -> int:
             path = os.path.join(args.result_dir, "report.json")
             with open(path, "r", encoding="utf-8") as fh:
                 d = json.load(fh)
+            keys = d if isinstance(d, dict) else {}
+            missing = [k for k in _REPORT_KEYS if k not in keys]
+            if missing:
+                raise ValueError(f"{path} is not a run report: it has no {missing[0]!r} key")
             write_outputs(d, args.out)
             print(f"wrote {os.path.join(args.out, 'summary.txt')}")
             return 0

@@ -67,14 +67,14 @@ class TruncatedPareto:
         self.theta = float(theta)
         self.lo = float(lo)
         self.hi = float(hi)
-        # Mass of the base law kept by the truncation.
-        self._z = float(self._base_sf(lo) - self._base_sf(hi))
+        # Base survival at lo, and the mass of the base law kept by the
+        # truncation.  At hi = inf the survival power is exactly 0.0.
+        self._sf_lo = float(self._base_sf(lo))
+        self._z = float(self._sf_lo - self._base_sf(hi))
         if not self._z > 0:
             raise ValueError("truncation range carries no probability mass")
 
     def _base_sf(self, x) -> np.ndarray | float:
-        if np.isscalar(x) and math.isinf(x):
-            return 0.0
         return (1.0 + self.k * (np.asarray(x, dtype=float) - self.theta) / self.sigma) ** (
             -1.0 / self.k
         )
@@ -91,20 +91,16 @@ class TruncatedPareto:
     def cdf(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
         xs = np.clip(x, self.lo, self.hi)
-        out = (self._base_sf(self.lo) - self._base_sf(xs)) / self._z
+        out = (self._sf_lo - self._base_sf(xs)) / self._z
         return _maybe_scalar(np.clip(out, 0.0, 1.0), x)
 
     def ppf(self, u) -> np.ndarray | float:
         u = np.asarray(u, dtype=float)
         if np.any((u < 0.0) | (u > 1.0)):
             raise ValueError("u must lie in [0, 1]")
-        s = self._base_sf(self.lo) - u * self._z
+        s = self._sf_lo - u * self._z
         x = self.theta + (self.sigma / self.k) * (s ** (-self.k) - 1.0)
-        if math.isfinite(self.hi):
-            x = np.clip(x, self.lo, self.hi)
-        else:
-            x = np.maximum(x, self.lo)
-        return _maybe_scalar(x, u)
+        return _maybe_scalar(np.clip(x, self.lo, self.hi), u)
 
 
 class TruncatedExponential:
@@ -145,10 +141,9 @@ class TruncatedExponential:
         u = np.asarray(u, dtype=float)
         if np.any((u < 0.0) | (u > 1.0)):
             raise ValueError("u must lie in [0, 1]")
+        # Never below lo; the upper clip is a no-op at hi = inf.
         x = self.lo - self.mean * np.log1p(-u * self._q)
-        if math.isfinite(self.hi):
-            x = np.clip(x, self.lo, self.hi)
-        return _maybe_scalar(x, u)
+        return _maybe_scalar(np.clip(x, self.lo, self.hi), u)
 
 
 def tilt_exponential(base: TruncatedExponential, vartheta: float) -> TruncatedExponential:

@@ -177,5 +177,8 @@ def injury_probability(delta_v: float | None, m: InjuryModel) -> float:
     if delta_v is None:
         return 0.0
     dv = delta_v * 3.6 if m.delta_v_unit == "km/h" else delta_v
-    return 1.0 / (1.0 + math.exp(-(m.b0 + m.b1 * dv + m.b2)))
+    try:
+        return 1.0 / (1.0 + math.exp(-(m.b0 + m.b1 * dv + m.b2)))
+    except OverflowError:  # logit below about -709.8, probability below 1e-308
+        return 0.0
 

@@ -95,7 +95,11 @@ class AvConfig:
 
 @dataclass(frozen=True, slots=True)
 class SimState:
-    """Following-vehicle state at one control tick."""
+    """Following-vehicle state at one control tick.
+
+    Under ACC the last command ``a_cmd`` is also the PI memory; once AEB
+    latches the PI is never read again, so no second copy is kept.
+    """
 
     t: float  # s
     r: float  # m, range to lead
@@ -104,7 +108,6 @@ class SimState:
     a_cmd: float  # m/s^2, commanded acceleration
     mode: str  # ACC or AEB
     prev_err: float  # last headway error seen by the PI
-    a_d_prev: float  # last ACC command (PI memory)
 
 
 @dataclass(frozen=True)
@@ -127,11 +130,14 @@ class EventRecord:
     delta_v: float | None
 
 
-def acc_command(t_hw: float, prev_err: float, a_d_prev: float, cfg: AvConfig) -> tuple[float, float]:
-    """One velocity-form PI update; returns (saturated command, new error)."""
+def acc_command(t_hw: float, prev_err: float, a_cmd: float, cfg: AvConfig) -> tuple[float, float]:
+    """One velocity-form PI update from the last command ``a_cmd``.
+
+    Returns (saturated command, new error).
+    """
     err = cfg.error_sign * (t_hw - cfg.t_hw_desired)
     a_d = (
-        a_d_prev
+        a_cmd
         + cfg.kp_acc * (err - prev_err)
         + cfg.ki_acc * (err + prev_err) * cfg.ts / 2.0
     )
@@ -175,26 +181,16 @@ def step(state: SimState, scenario: ScenarioSample, cfg: AvConfig) -> SimState:
 
     if mode == ACC:
         t_hw = state.r / max(state.v, _V_HEADWAY_EPS)
-        a_cmd, err = acc_command(t_hw, state.prev_err, state.a_d_prev, cfg)
-        prev_err = err
-        a_d_prev = a_cmd
+        a_cmd, prev_err = acc_command(t_hw, state.prev_err, state.a_cmd, cfg)
     else:
         a_cmd = max(-cfg.a_aeb, state.a_cmd + cfg.r_aeb * cfg.ts)
         prev_err = state.prev_err
-        a_d_prev = state.a_d_prev
 
     a = state.a + (cfg.ts / cfg.tau_av) * (a_cmd - state.a)
     v = max(0.0, state.v + a * cfg.ts)
     r = state.r + (scenario.v_l - state.v) * cfg.ts
     return SimState(
-        t=state.t + cfg.ts,
-        r=r,
-        v=v,
-        a=a,
-        a_cmd=a_cmd,
-        mode=mode,
-        prev_err=prev_err,
-        a_d_prev=a_d_prev,
+        t=state.t + cfg.ts, r=r, v=v, a=a, a_cmd=a_cmd, mode=mode, prev_err=prev_err,
     )
 
 
@@ -202,8 +198,7 @@ def _initial_state(scenario: ScenarioSample, cfg: AvConfig) -> SimState:
     ttc0 = instantaneous_ttc(scenario.r0, scenario.v0, scenario.v_l)
     mode = AEB if ttc0 < aeb_threshold(scenario.v0, cfg) else ACC
     return SimState(
-        t=0.0, r=scenario.r0, v=scenario.v0, a=0.0, a_cmd=0.0,
-        mode=mode, prev_err=0.0, a_d_prev=0.0,
+        t=0.0, r=scenario.r0, v=scenario.v0, a=0.0, a_cmd=0.0, mode=mode, prev_err=0.0,
     )
 
 
@@ -231,7 +226,6 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
     a_cmd = 0.0
     aeb = state.mode == AEB
     prev_err = 0.0
-    a_d_prev = 0.0
     min_range = r
     sum_v = 0.0
     delta_v = None
@@ -244,13 +238,12 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
             t_hw = r / max(v, _V_HEADWAY_EPS)
             err = cfg.error_sign * (t_hw - cfg.t_hw_desired)
             a_d = (
-                a_d_prev
+                a_cmd
                 + cfg.kp_acc * (err - prev_err)
                 + cfg.ki_acc * (err + prev_err) * ts / 2.0
             )
             a_cmd = min(cfg.a_acc_max, max(-cfg.a_acc_max, a_d))
             prev_err = err
-            a_d_prev = a_cmd
         a = a + lag * (a_cmd - a)
         v_before = v
         v = max(0.0, v + a * ts)
@@ -259,8 +252,7 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
         sum_v += v_before
         if record:
             states.append(SimState(
-                t=t, r=r, v=v, a=a, a_cmd=a_cmd, mode=AEB if aeb else ACC,
-                prev_err=prev_err, a_d_prev=a_d_prev,
+                t=t, r=r, v=v, a=a, a_cmd=a_cmd, mode=AEB if aeb else ACC, prev_err=prev_err,
             ))
         if r < min_range:
             min_range = r
@@ -268,8 +260,7 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
             delta_v = v_before - v_l
             break
     final = SimState(
-        t=t, r=r, v=v, a=a, a_cmd=a_cmd, mode=AEB if aeb else ACC,
-        prev_err=prev_err, a_d_prev=a_d_prev,
+        t=t, r=r, v=v, a=a, a_cmd=a_cmd, mode=AEB if aeb else ACC, prev_err=prev_err,
     )
     if r <= 0.0:
         outcome = "crash"

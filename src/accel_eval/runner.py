@@ -30,7 +30,7 @@ from .estimation import (
     required_n_cmc,
 )
 from .plant import classify_events, simulate
-from .scenario import ProposalParams, ScenarioSample, derive_kinematics, scenario_stream, stream_namespace
+from .scenario import ProposalParams, scenario_stream, stream_namespace
 
 __all__ = [
     "EstimateRow",
@@ -76,7 +76,9 @@ class RunReport:
     rows: list[EstimateRow]
     ce: dict[str, CeState]
     convergence: dict[str, list[tuple[int, float, float | None, float]]]
-    scenario_logs: dict[str, list[tuple]] | None = None
+    # Per combination: log rows, and (index, scenario) of the first
+    # event-positive draws, kept to record their traces when written.
+    scenario_logs: dict[str, tuple[list[tuple], list[tuple]]] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -128,7 +130,8 @@ def _estimate_combo(
     ns = stream_namespace(f"estimate/{event}/{bin_name}/{mode}")
     total = EstimatorAccumulator()
     conv: list[tuple[int, float, float | None, float]] = []
-    logs: list[tuple] = []
+    rows: list[tuple] = []
+    traced: list[tuple] = []
     for start in range(0, cfg.n_cap, cfg.check_every):
         acc = EstimatorAccumulator()
         for i in range(start, min(start + cfg.check_every, cfg.n_cap)):
@@ -137,18 +140,20 @@ def _estimate_combo(
             trace = simulate(s, cfg.plant)
             acc.update(_indicator(cfg, event, trace), s.likelihood, trace.distance_m)
             if keep_log:
-                logs.append(
+                rows.append(
                     (i, s.v_l, s.r_inv, s.ttc_inv, s.likelihood, trace.outcome,
                      trace.min_range, trace.delta_v)
                 )
+                if trace.outcome != "none" and len(traced) < _MAX_TRACE_FILES:
+                    traced.append((i, s))
         total = merge(total, acc)
         if total.n < 2:
             continue
         lr = relative_half_width(total, cfg.confidence)
         conv.append((total.n, total.mean(), lr, total.sample_variance()))
         if total.n >= cfg.min_samples and lr is not None and lr < cfg.confidence.beta:
-            return total, conv, True, logs
-    return total, conv, False, logs
+            return total, conv, True, (rows, traced)
+    return total, conv, False, (rows, traced)
 
 
 def _build_row(
@@ -237,7 +242,7 @@ def run_experiment(
 
     rows: list[EstimateRow] = []
     convergence: dict[str, list] = {}
-    scenario_logs: dict[str, list] | None = {} if verbose_traces else None
+    scenario_logs: dict[str, tuple] | None = {} if verbose_traces else None
     for event in cfg.events:
         for bin_name in cfg.bins:
             accs = {}
@@ -421,8 +426,8 @@ def write_outputs(d: dict, out_dir: str, report: RunReport | None = None) -> Non
     """Write summary, machine-readable report, and CSV logs into ``out_dir``.
 
     When a live :class:`RunReport` with scenario logs is supplied, also
-    write per-scenario CSVs and re-simulated traces for the first
-    event-positive tests of each combination.
+    write per-scenario CSVs and the traces recorded for the first
+    event-positive draws of each combination.
     """
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "summary.txt"), render_summary(d))
@@ -436,21 +441,17 @@ def write_outputs(d: dict, out_dir: str, report: RunReport | None = None) -> Non
 
 
 def _write_scenario_logs(report: RunReport, out_dir: str) -> None:
+    # Each trace drives the drawn scenario itself again, with recording;
+    # states are made one trace at a time, not held for the whole run.
     cfg = report.cfg
-    for key, rows in report.scenario_logs.items():
+    for key, (rows, traced) in report.scenario_logs.items():
         name = "scenarios_" + key.replace("/", "_") + ".csv"
         _write_csv(os.path.join(out_dir, name),
                    "index,v_l,r_inv,ttc_inv,likelihood,outcome,min_range,delta_v", rows)
         trace_dir = os.path.join(out_dir, "traces", key.replace("/", "_"))
-        picked = [r for r in rows if r[5] != "none"][:_MAX_TRACE_FILES]
-        if picked:
+        if traced:
             os.makedirs(trace_dir, exist_ok=True)
-        for i, v_l, r_inv, ttc_inv, *_ in picked:
-            rdot, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
-            s = ScenarioSample(
-                v_l=v_l, r_inv=r_inv, ttc_inv=ttc_inv, r0=r0, rdot=rdot, v0=v0,
-                likelihood=1.0,
-            )
+        for i, s in traced:
             trace = simulate(s, cfg.plant, record=True)
             _write_csv(os.path.join(trace_dir, f"{i:06d}.csv"), "t,r,v,a_cmd,a,mode",
                        ((st.t, st.r, st.v, st.a_cmd, st.a, st.mode) for st in trace.states))

@@ -152,18 +152,16 @@ class ScenarioModel:
         self.v_dist = v_dist
         self.r_inv_dist = r_inv_dist
         table = [(float(v), float(lam)) for v, lam in ttc_lambda_table]
-        if not table:
+        self._ttc_speeds = speeds = [v for v, _ in table]
+        self._ttc_means = [lam for _, lam in table]
+        if not speeds:
             raise ValueError("ttc_lambda_table must not be empty")
-        speeds = [v for v, _ in table]
         if any(b >= a for a, b in zip(speeds[1:], speeds)):
             raise ValueError("ttc_lambda_table speeds must be strictly increasing")
-        if any(lam <= 0 for _, lam in table):
+        if any(lam <= 0 for lam in self._ttc_means):
             raise ValueError("ttc_lambda_table means must be positive")
         if not lambda_floor > 0:
             raise ValueError(f"lambda_floor must be > 0, got {lambda_floor}")
-        self.ttc_lambda_table = table
-        self._ttc_speeds = speeds
-        self._ttc_means = [lam for _, lam in table]
         self.lambda_floor = float(lambda_floor)
 
         self.bins = tuple(bins)
@@ -190,17 +188,15 @@ class ScenarioModel:
 
     def lambda_ttc(self, v_l: float) -> float:
         """Inverse-TTC mean at lead speed ``v_l`` (interpolated, floored)."""
-        pts = self.ttc_lambda_table
-        if len(pts) == 1:
-            lam = pts[0][1]
-        elif v_l <= pts[0][0]:
-            (x0, y0), (x1, y1) = pts[0], pts[1]
-            lam = y0 + (v_l - x0) * (y1 - y0) / (x1 - x0)
-        elif v_l >= pts[-1][0]:
-            (x0, y0), (x1, y1) = pts[-2], pts[-1]
-            lam = y1 + (v_l - x1) * (y1 - y0) / (x1 - x0)
+        xs, ys = self._ttc_speeds, self._ttc_means
+        if len(xs) == 1:
+            lam = ys[0]
+        elif v_l <= xs[0]:
+            lam = ys[0] + (v_l - xs[0]) * (ys[1] - ys[0]) / (xs[1] - xs[0])
+        elif v_l >= xs[-1]:
+            lam = ys[-1] + (v_l - xs[-1]) * (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
         else:
-            lam = float(np.interp(v_l, self._ttc_speeds, self._ttc_means))
+            lam = float(np.interp(v_l, xs, ys))
         return max(self.lambda_floor, lam)
 
     def bin_named(self, name: str) -> VelocityBin:
@@ -216,7 +212,7 @@ class ScenarioModel:
         is attained at a bin edge or an interior table node.
         """
         cand = [b.lo, b.hi]
-        cand += [v for v, _ in self.ttc_lambda_table if b.lo < v < b.hi]
+        cand += [v for v in self._ttc_speeds if b.lo < v < b.hi]
         return min(self.lambda_ttc(v) for v in cand)
 
     def validate_proposal(self, p: ProposalParams) -> None:

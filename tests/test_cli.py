@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, artifact layout."""
 
+import csv
 import json
 
 import pytest
@@ -7,6 +8,8 @@ import yaml
 
 from accel_eval.cli import main
 from accel_eval.config import parse_config
+from accel_eval.plant import simulate
+from accel_eval.scenario import ProposalParams, scenario_stream, stream_namespace
 
 from test_ingest import _synthetic_rows, _write_csv
 
@@ -241,6 +244,94 @@ def test_report_rerenders_stored_results(tmp_path, capsys):
 
     assert main(["report", str(tmp_path / "void"), "--out", str(second)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, missing", [
+    ({"rows": 5}, "provenance"),
+    ([1, 2], "provenance"),
+], ids=["mapping-without-report-keys", "list"])
+def test_report_rejects_a_file_that_is_not_a_run_report(tmp_path, capsys, content, missing):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "report.json").write_text(json.dumps(content), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(src / "report.json") in err
+    assert f"no {missing!r} key" in err
+    assert not out.exists()
+
+
+def test_report_rejects_a_search_result(tmp_path, capsys):
+    ce = {"iterations": 1, "n_per_iter": {"conflict": 50}}
+    cfg = _config_file(tmp_path, {"seed": 8, "bins": ["low"], "cross_entropy": ce})
+    searched = tmp_path / "searched"
+    assert main(["search", "--config", cfg, "--out", str(searched)]) == 0
+    (searched / "report.json").write_bytes((searched / "search.json").read_bytes())
+    capsys.readouterr()
+    assert main(["report", str(searched), "--out", str(tmp_path / "out")]) == 1
+    assert "no 'rows' key" in capsys.readouterr().err
+
+
+def test_overflowing_injury_logistic_still_writes_a_report(tmp_path, capsys):
+    # With b1 = -200 the negated logit of a crash above ~3.5 m/s overflows exp.
+    cfg = _config_file(tmp_path, {
+        "seed": 31, "events": ["injury"], "bins": ["low"], "modes": ["cmc"], "n_cap": 200,
+        "stopping": {"check_every": 100, "min_samples": 100}, "injury": {"b1": -200.0},
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) in (0, 2)
+    capsys.readouterr()
+    (row,) = json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"]
+    assert row["event"] == "injury" and row["n"] == 200 and row["estimate"] == 0.0
+
+
+def test_traces_are_the_drawn_scenarios(tmp_path, capsys):
+    data = {
+        "seed": 23,
+        "events": ["conflict"],
+        "bins": ["high"],
+        "modes": ["cmc", "is"],
+        "n_cap": 1000,
+        "stopping": {"check_every": 500, "min_samples": 500},
+        "warm_start": WARM_HIGH,
+    }
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", _config_file(tmp_path, data), "--out", str(out),
+                 "--verbose-traces"]) in (0, 2)
+    capsys.readouterr()
+    cfg = parse_config(data)
+    b = cfg.model.bin_named("high")
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    counts = {}
+    for row in report["rows"]:
+        key = "conflict_high_" + row["mode"]
+        with open(out / f"scenarios_{key}.csv", encoding="utf-8", newline="") as fh:
+            picked = [r for r in csv.DictReader(fh) if r["outcome"] != "none"][:20]
+        trace_dir = out / "traces" / key
+        files = sorted(p.name for p in trace_dir.iterdir()) if trace_dir.exists() else []
+        assert files == [f"{int(r['index']):06d}.csv" for r in picked]
+        counts[row["mode"]] = len(files)
+
+        params = None
+        if row["vartheta_r"] is not None:
+            params = ProposalParams(row["vartheta_r"], row["vartheta_ttc"], "high")
+        ns = stream_namespace(f"estimate/conflict/high/{row['mode']}")
+        for r in picked:
+            i = int(r["index"])
+            s = cfg.model.sample_scenario(b, scenario_stream(cfg.seed, i, ns), params)
+            drawn = (repr(s.v_l), repr(s.r_inv), repr(s.ttc_inv))
+            assert drawn == (r["v_l"], r["r_inv"], r["ttc_inv"])
+            states = simulate(s, cfg.plant, record=True).states
+            with open(trace_dir / f"{i:06d}.csv", encoding="utf-8", newline="") as fh:
+                lines = list(csv.reader(fh))
+            assert lines[0] == ["t", "r", "v", "a_cmd", "a", "mode"]
+            assert lines[1:] == [
+                [repr(st.t), repr(st.r), repr(st.v), repr(st.a_cmd), repr(st.a), st.mode]
+                for st in states
+            ]
+    # Both modes trace something, and the cap on trace files is reached.
+    assert counts["cmc"] >= 1 and counts["is"] == 20
 
 
 def test_empty_list_key_is_a_config_error(tmp_path, capsys):

@@ -147,6 +147,15 @@ def test_injury_probability_monotone():
     assert 0.0 < probs[0] and probs[-1] < 1.0
 
 
+def test_injury_probability_is_zero_where_the_logistic_overflows():
+    m = InjuryModel(b1=-200.0)
+    # Negated logit about 1006.7: exp overflows, the probability is below 1e-308.
+    assert injury_probability(5.0, m) == 0.0
+    # Negated logit about 606.7: exp is finite and the formula is unchanged.
+    expected = 1.0 / (1.0 + math.exp(-(m.b0 + m.b1 * 3.0 + m.b2)))
+    assert 0.0 < injury_probability(3.0, m) == expected
+
+
 def test_injury_unit_tag_converts_input():
     ms = InjuryModel(delta_v_unit="m/s")
     kmh = InjuryModel(delta_v_unit="km/h")

@@ -90,8 +90,7 @@ def test_pi_saturation_both_sides():
 
 def test_aeb_ramp_first_step():
     cfg = AvConfig()
-    st = SimState(t=0.0, r=2.0, v=14.0, a=0.0, a_cmd=0.0, mode=AEB,
-                  prev_err=0.0, a_d_prev=0.0)
+    st = SimState(t=0.0, r=2.0, v=14.0, a=0.0, a_cmd=0.0, mode=AEB, prev_err=0.0)
     nxt = step(st, mk(10.0, 0.5, 2.0), cfg)
     assert nxt.a_cmd == cfg.r_aeb * cfg.ts == -1.6
     assert nxt.mode == AEB
