@@ -28,6 +28,64 @@ from .runner import (
 __all__ = ["main"]
 
 _REPORT_KEYS = ("provenance", "resolved_config", "rows", "ce", "convergence")
+_ROW_TEXT = ("event", "bin", "mode", "n_nature_source")
+_ROW_NUMBERS = ("estimate", "ci_lo", "ci_hi", "rel_half_width", "n", "converged",
+                "d_nature_mi", "d_acc_mi", "r_acc", "n_nature")
+
+
+def _check_report(d, source: str) -> None:
+    """Raise ValueError, naming ``source`` and the key path, unless ``d`` has
+    the shape that ``runner.render_summary`` and ``runner.write_outputs``
+    read, so that a malformed stored report fails before any file is written."""
+
+    def bad(path: str, what: str):
+        return ValueError(f"{source} is not a run report: {path} {what}")
+
+    def mapping(x, path: str, keys=()) -> dict:
+        if not isinstance(x, dict):
+            raise bad(path, "is not a mapping")
+        for k in keys:
+            if k not in x:
+                raise bad(path, f"has no {k!r} key")
+        return x
+
+    def number(x, path: str, none_ok: bool = False) -> None:
+        if not (isinstance(x, (int, float)) or (none_ok and x is None)):
+            raise bad(path, "is not a number")
+
+    def table(x, path: str) -> None:
+        if not isinstance(x, list):
+            raise bad(path, "is not a list")
+        for i, row in enumerate(x):
+            if not isinstance(row, list):
+                raise bad(f"{path}[{i}]", "is not a list")
+            for j, cell in enumerate(row):
+                if not (cell is None or isinstance(cell, (int, float, str))):
+                    raise bad(f"{path}[{i}][{j}]", "is not a number or a string")
+
+    mapping(d if isinstance(d, dict) else {}, "it", _REPORT_KEYS)
+    mapping(d["provenance"], "provenance", ("config_hash", "seed", "version"))
+    conf = mapping(mapping(d["resolved_config"], "resolved_config", ("confidence",))["confidence"],
+                   "resolved_config.confidence", ("alpha", "beta"))
+    for k in ("alpha", "beta"):
+        number(conf[k], f"resolved_config.confidence.{k}")
+    if not isinstance(d["rows"], list):
+        raise bad("rows", "is not a list")
+    for i, r in enumerate(d["rows"]):
+        mapping(r, f"rows[{i}]", _ROW_TEXT + _ROW_NUMBERS)
+        for k in _ROW_TEXT:
+            if not isinstance(r[k], str):
+                raise bad(f"rows[{i}].{k}", "is not a string")
+        for k in _ROW_NUMBERS:
+            number(r[k], f"rows[{i}].{k}", none_ok=True)
+    for key, st in mapping(d["ce"], "ce").items():
+        path = f"ce[{key!r}]"
+        mapping(st, path, ("vartheta_r", "vartheta_ttc", "event_hits", "n_per_iter", "history"))
+        number(st["vartheta_r"], f"{path}.vartheta_r")
+        number(st["vartheta_ttc"], f"{path}.vartheta_ttc")
+        table(st["history"], f"{path}.history")
+    for key, rows in mapping(d["convergence"], "convergence").items():
+        table(rows, f"convergence[{key!r}]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,12 +204,14 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "report":
             path = os.path.join(args.result_dir, "report.json")
+
+            def reject(token):
+                # Reports are strict JSON; a NaN would fail only when rewritten.
+                raise ValueError(f"{path} is not a run report: it holds {token}")
+
             with open(path, "r", encoding="utf-8") as fh:
-                d = json.load(fh)
-            keys = d if isinstance(d, dict) else {}
-            missing = [k for k in _REPORT_KEYS if k not in keys]
-            if missing:
-                raise ValueError(f"{path} is not a run report: it has no {missing[0]!r} key")
+                d = json.load(fh, parse_constant=reject)
+            _check_report(d, path)
             write_outputs(d, args.out)
             print(f"wrote {os.path.join(args.out, 'summary.txt')}")
             return 0

@@ -15,6 +15,7 @@ so negative tilts push mass toward larger values.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,34 @@ class FitError(ValueError):
 
 def _maybe_scalar(out: np.ndarray, x: np.ndarray) -> np.ndarray | float:
     return out if x.ndim else float(out)
+
+
+# The scalar branches of pdf/ppf/exp_density_ratio (taken for a Python or
+# numpy float) compute on floats and match the array code on a 0-d array
+# bit for bit: there every operation decays to np.float64, whose ``**`` is
+# libm ``pow`` like Python's, and the exponential laws call the same numpy
+# ufuncs.  ``_clip`` and the range checks keep np.clip's tie rules.
+
+
+def _pow(x: float, y: float) -> float:
+    """``x ** y``; where Python raises (a zero base under a negative power, or
+    overflow) np.float64's ``**`` gives inf and warns, as the array code does."""
+    try:
+        return x ** y
+    except ArithmeticError:
+        return float(np.float64(x) ** y)
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """``np.clip(x, lo, hi)`` on one float: NaN passes, and a bound equal to
+    ``x`` (a zero of the other sign) does not replace it."""
+    x = lo if x < lo else x
+    return hi if x > hi else x
+
+
+def _check_u(u: float) -> None:
+    if u < 0.0 or u > 1.0:
+        raise ValueError("u must lie in [0, 1]")
 
 
 class TruncatedPareto:
@@ -80,6 +109,13 @@ class TruncatedPareto:
         )
 
     def pdf(self, x) -> np.ndarray | float:
+        if isinstance(x, float):
+            if not (x >= self.lo and x <= self.hi):
+                return 0.0
+            dens = (1.0 / self.sigma) * _pow(
+                1.0 + self.k * (x - self.theta) / self.sigma, -1.0 - 1.0 / self.k
+            )
+            return float(dens / self._z)
         x = np.asarray(x, dtype=float)
         inside = (x >= self.lo) & (x <= self.hi)
         xs = np.where(inside, x, self.lo)
@@ -95,6 +131,11 @@ class TruncatedPareto:
         return _maybe_scalar(np.clip(out, 0.0, 1.0), x)
 
     def ppf(self, u) -> np.ndarray | float:
+        if isinstance(u, float):
+            _check_u(u)
+            s = self._sf_lo - u * self._z
+            x = self.theta + (self.sigma / self.k) * (_pow(s, -self.k) - 1.0)
+            return float(_clip(x, self.lo, self.hi))
         u = np.asarray(u, dtype=float)
         if np.any((u < 0.0) | (u > 1.0)):
             raise ValueError("u must lie in [0, 1]")
@@ -125,6 +166,10 @@ class TruncatedExponential:
             raise ValueError("truncation range carries no probability mass")
 
     def pdf(self, x) -> np.ndarray | float:
+        if isinstance(x, float):
+            if not (x >= self.lo and x <= self.hi):
+                return 0.0
+            return float(np.exp(-(x - self.lo) / self.mean) / (self.mean * self._q))
         x = np.asarray(x, dtype=float)
         inside = (x >= self.lo) & (x <= self.hi)
         xs = np.where(inside, x, self.lo)
@@ -138,6 +183,10 @@ class TruncatedExponential:
         return _maybe_scalar(np.clip(out, 0.0, 1.0), x)
 
     def ppf(self, u) -> np.ndarray | float:
+        if isinstance(u, float):
+            _check_u(u)
+            x = self.lo - self.mean * float(np.log1p(-u * self._q))
+            return float(_clip(x, self.lo, self.hi))
         u = np.asarray(u, dtype=float)
         if np.any((u < 0.0) | (u > 1.0)):
             raise ValueError("u must lie in [0, 1]")
@@ -169,7 +218,6 @@ def exp_density_ratio(numer: TruncatedExponential, denom: TruncatedExponential, 
     0; callers are expected to evaluate only at points drawn from
     ``denom``.
     """
-    x = np.asarray(x, dtype=float)
     log_c = (
         math.log(denom.mean * denom._q)
         - math.log(numer.mean * numer._q)
@@ -178,6 +226,11 @@ def exp_density_ratio(numer: TruncatedExponential, denom: TruncatedExponential, 
     )
     c = math.exp(log_c)
     rate_diff = 1.0 / numer.mean - 1.0 / denom.mean
+    if isinstance(x, float):
+        if not (x >= numer.lo and x <= numer.hi):
+            return 0.0
+        return float(c * np.exp(-x * rate_diff))
+    x = np.asarray(x, dtype=float)
     inside = (x >= numer.lo) & (x <= numer.hi)
     out = np.where(inside, c * np.exp(-x * rate_diff), 0.0)
     return _maybe_scalar(out, x)
@@ -209,6 +262,9 @@ class EmpiricalDist:
         self.bin_mass = mass / total
         self.lo = float(edges[0])
         self.hi = float(edges[-1])
+        # (lo, hi) -> (left, overlap, total, cumsum) of sample_in_range,
+        # as lists of the same floats; one entry per velocity bin sampled.
+        self._samplers: dict[tuple[float, float], tuple] = {}
 
     def _range_weights(self, lo: float, hi: float):
         if not lo < hi:
@@ -226,13 +282,17 @@ class EmpiricalDist:
 
     def sample_in_range(self, lo: float, hi: float, u_bin: float, u_pos: float) -> float:
         """One draw conditioned on [lo, hi], from two uniforms in [0, 1)."""
-        left, overlap, w = self._range_weights(lo, hi)
-        total = float(w.sum())
-        if total <= 0.0:
-            raise ValueError(f"range ({lo}, {hi}) carries no probability mass")
-        cum = np.cumsum(w)
-        j = int(np.searchsorted(cum, u_bin * total, side="right"))
-        j = min(j, len(w) - 1)
+        sampler = self._samplers.get((lo, hi))
+        if sampler is None:
+            left, overlap, w = self._range_weights(lo, hi)
+            total = float(w.sum())
+            if total <= 0.0:
+                raise ValueError(f"range ({lo}, {hi}) carries no probability mass")
+            sampler = (left.tolist(), overlap.tolist(), total, np.cumsum(w).tolist())
+            self._samplers[(lo, hi)] = sampler
+        left, overlap, total, cum = sampler
+        # bisect_right is np.searchsorted(side="right") on a sorted list.
+        j = min(bisect_right(cum, u_bin * total), len(cum) - 1)
         return float(left[j] + u_pos * overlap[j])
 
 

@@ -206,9 +206,14 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
     """Run one event to crash or to the horizon.
 
     Distance uses the rectangle rule on the speed at each period start,
-    which is also the integration scheme of the kinematics.  The loop
-    inlines :func:`step` on local floats (it is the hot loop of every
-    estimator) and is held to exact agreement with it by tests.  With
+    which is also the integration scheme of the kinematics.  The loop is
+    :func:`step` on local floats, as it is the hot loop of every
+    estimator: each ``cfg`` field is read once per call, the AEB
+    threshold comes from a segment table ``(v0, t0, v1, t1 - t0, v1 - v0)``
+    built once per call with :func:`aeb_threshold`'s expression, and each
+    builtin ``max``/``min`` is a comparison that keeps the builtin's tie
+    rule (``max(a, b)`` is ``a`` unless ``b > a``), which decides the sign
+    of a zero.  Tests hold it to :func:`step` bit for bit.  With
     ``record`` the trace also holds the state at every tick, the initial
     one included.
     """
@@ -216,6 +221,20 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
     ts = cfg.ts
     lag = ts / cfg.tau_av
     n_steps = round(cfg.t_lc_max / ts)
+    a_hi = cfg.a_acc_max
+    a_lo = -a_hi
+    a_floor = -cfg.a_aeb
+    ramp = cfg.r_aeb * ts
+    kp = cfg.kp_acc
+    ki = cfg.ki_acc
+    sign = cfg.error_sign
+    t_hw_desired = cfg.t_hw_desired
+    sched = cfg.ttc_aeb_schedule
+    v_first, thr_first = sched[0]
+    v_last, thr_last = sched[-1]
+    segments = [
+        (v0, t0, v1, t1 - t0, v1 - v0) for (v0, t0), (v1, t1) in zip(sched, sched[1:])
+    ]
 
     state = _initial_state(scenario, cfg)
     states = [state] if record else []
@@ -230,23 +249,32 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
     sum_v = 0.0
     delta_v = None
     for _ in range(n_steps):
-        if not aeb and v > v_l and r / (v - v_l) < aeb_threshold(v, cfg):
-            aeb = True
+        if not aeb and v > v_l:
+            if v <= v_first:
+                thr = thr_first
+            elif v >= v_last:
+                thr = thr_last
+            else:
+                for v0, t0, v1, dt, dv in segments:
+                    if v <= v1:
+                        thr = t0 + (v - v0) * dt / dv
+                        break
+            if r / (v - v_l) < thr:
+                aeb = True
         if aeb:
-            a_cmd = max(-cfg.a_aeb, a_cmd + cfg.r_aeb * ts)
+            a_d = a_cmd + ramp
+            a_cmd = a_d if a_d > a_floor else a_floor
         else:
-            t_hw = r / max(v, _V_HEADWAY_EPS)
-            err = cfg.error_sign * (t_hw - cfg.t_hw_desired)
-            a_d = (
-                a_cmd
-                + cfg.kp_acc * (err - prev_err)
-                + cfg.ki_acc * (err + prev_err) * ts / 2.0
-            )
-            a_cmd = min(cfg.a_acc_max, max(-cfg.a_acc_max, a_d))
+            t_hw = r / (_V_HEADWAY_EPS if _V_HEADWAY_EPS > v else v)
+            err = sign * (t_hw - t_hw_desired)
+            a_d = a_cmd + kp * (err - prev_err) + ki * (err + prev_err) * ts / 2.0
+            a_d = a_d if a_d > a_lo else a_lo
+            a_cmd = a_d if a_d < a_hi else a_hi
             prev_err = err
         a = a + lag * (a_cmd - a)
         v_before = v
-        v = max(0.0, v + a * ts)
+        v = v + a * ts
+        v = v if v > 0.0 else 0.0
         r = r + (v_l - v_before) * ts
         t = t + ts
         sum_v += v_before

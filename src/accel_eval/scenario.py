@@ -163,6 +163,9 @@ class ScenarioModel:
         if not lambda_floor > 0:
             raise ValueError(f"lambda_floor must be > 0, got {lambda_floor}")
         self.lambda_floor = float(lambda_floor)
+        # np.interp would convert the two lists on every call.
+        self._ttc_xp = np.array(speeds)
+        self._ttc_fp = np.array(self._ttc_means)
 
         self.bins = tuple(bins)
         if not self.bins:
@@ -196,7 +199,7 @@ class ScenarioModel:
         elif v_l >= xs[-1]:
             lam = ys[-1] + (v_l - xs[-1]) * (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
         else:
-            lam = float(np.interp(v_l, xs, ys))
+            lam = float(np.interp(v_l, self._ttc_xp, self._ttc_fp))
         return max(self.lambda_floor, lam)
 
     def bin_named(self, name: str) -> VelocityBin:
@@ -241,7 +244,8 @@ class ScenarioModel:
         Exactly four uniforms are consumed, in a fixed order, so a
         scenario is fully determined by its stream.
         """
-        u_bin, u_pos, u_r, u_ttc = rng.random(4)
+        # Python floats, so that each law takes its scalar path.
+        u_bin, u_pos, u_r, u_ttc = rng.random(4).tolist()
         v_l = self.v_dist.sample_in_range(bin_range.lo, bin_range.hi, u_bin, u_pos)
         ttc_law = TruncatedExponential(self.lambda_ttc(v_l), 0.0, math.inf)
         if proposal is None:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 import yaml
@@ -260,6 +261,27 @@ def test_report_rejects_a_file_that_is_not_a_run_report(tmp_path, capsys, conten
     assert err.startswith("error: ") and str(src / "report.json") in err
     assert f"no {missing!r} key" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("change, where", [
+    ({"resolved_config": {}}, "resolved_config has no 'confidence' key"),
+    ({"convergence": 5}, "convergence is not a mapping"),
+    ({"rows": [{"event": "conflict"}]}, "rows[0] has no 'bin' key"),
+    ({"resolved_config": {"confidence": {"alpha": math.nan, "beta": 0.2}}}, "it holds NaN"),
+], ids=["empty-resolved-config", "convergence-not-a-mapping", "row-without-keys", "nan"])
+def test_report_checks_values_before_writing(tmp_path, capsys, change, where):
+    stored = tmp_path / "stored"
+    assert main(["estimate", "--config", _fast_config(tmp_path), "--out", str(stored)]) == 0
+    path = stored / "report.json"
+    path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), **change}),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["report", str(stored), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and where in err
+    assert list(out.iterdir()) == []
 
 
 def test_report_rejects_a_search_result(tmp_path, capsys):

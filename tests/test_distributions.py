@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
@@ -192,6 +192,65 @@ def test_density_ratio_outside_numer_support_is_zero():
     n = TruncatedExponential(1.0, 0.0, 5.0)
     d = TruncatedExponential(1.0, 0.0, math.inf)
     assert exp_density_ratio(n, d, 6.0) == 0.0
+
+
+def _bitwise_same(f, arg):
+    """``f`` on a Python or numpy float gives a float with the bits of ``f``
+    on a 0-d array."""
+    with np.errstate(all="ignore"):  # u = 1 at hi = inf divides by zero, on both paths
+        ref = float(f(np.asarray(arg))).hex()
+        for got in (f(arg), f(np.float64(arg))):
+            assert type(got) is float
+            assert got.hex() == ref, (arg, got, ref)
+
+
+def _law_or_reject(make, *args):
+    try:
+        return make(*args)
+    except ValueError:
+        assume(False)
+
+
+_probs = st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=40)
+_points = st.lists(st.floats(-1.0, 50.0) | st.sampled_from([math.inf, math.nan]),
+                   min_size=1, max_size=40)
+_upper = st.just(math.inf) | st.floats(0.01, 40.0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(k=st.floats(1e-3, 30.0), sigma=st.floats(1e-3, 5.0), theta=st.floats(-1.0, 1.0),
+       lo_gap=st.floats(0.0, 1.0), width=_upper, us=_probs, xs=_points)
+def test_pareto_scalar_path_is_bitwise_the_array_path(k, sigma, theta, lo_gap, width, us, xs):
+    p = _law_or_reject(TruncatedPareto, k, sigma, theta, theta + lo_gap, theta + lo_gap + width)
+    for u in us:
+        _bitwise_same(p.ppf, u)
+    for x in xs + [p.lo, p.hi]:
+        _bitwise_same(p.pdf, x)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(mean=st.floats(0.01, 5.0), lo=st.floats(0.0, 2.0), width=_upper,
+       other=st.floats(0.01, 5.0), us=_probs, xs=_points)
+def test_exponential_scalar_path_is_bitwise_the_array_path(mean, lo, width, other, us, xs):
+    d = _law_or_reject(TruncatedExponential, mean, lo, lo + width)
+    prop = TruncatedExponential(other, 0.0, math.inf)
+    for u in us:
+        _bitwise_same(d.ppf, u)
+    for x in xs + [d.lo, d.hi]:
+        _bitwise_same(d.pdf, x)
+        _bitwise_same(lambda y: exp_density_ratio(d, prop, y), x)
+        _bitwise_same(lambda y: exp_density_ratio(prop, d, y), x)
+
+
+@pytest.mark.parametrize("u", [-1e-300, 1.0 + 2.0**-52, -math.inf])
+def test_scalar_and_array_paths_reject_the_same_u(u):
+    for law in (TruncatedPareto(**ORACLE_PARETO), TruncatedExponential(0.7, 0.2, math.inf)):
+        msgs = []
+        for arg in (u, np.asarray(u)):
+            with pytest.raises(ValueError) as e:
+                law.ppf(arg)
+            msgs.append(str(e.value))
+        assert msgs[0] == msgs[1] == "u must lie in [0, 1]"
 
 
 def test_fit_exponential_mle_is_sample_mean():

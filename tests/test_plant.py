@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from accel_eval.plant import (
     ACC,
@@ -238,3 +240,77 @@ def test_distance_is_rectangle_rule_on_period_start_speeds():
     trace = simulate(mk(20.0, 0.01, 0.0), AvConfig(), record=True)
     sums = sum(st.v for st in trace.states[:-1])
     assert trace.distance_m == sums * 0.1
+
+
+_STATE_FLOATS = ("t", "r", "v", "a", "a_cmd", "prev_err")
+
+
+def _zero_or(values):
+    # Zeros of both signs first, so that the builtin max/min tie rules
+    # decide the sign of a command or a speed.
+    return st.sampled_from([0.0, -0.0]) | values
+
+
+_av_configs = st.builds(
+    AvConfig,
+    t_hw_desired=st.floats(0.5, 3.0),
+    a_acc_max=st.just(0.0) | st.floats(0.0, 8.0),
+    kp_acc=_zero_or(st.floats(-60.0, 10.0)),
+    ki_acc=_zero_or(st.floats(-5.0, 5.0)),
+    a_aeb=st.just(0.0) | st.floats(0.0, 15.0),
+    r_aeb=_zero_or(st.floats(-40.0, 0.0)),
+    tau_av=st.floats(0.02, 1.0),
+    ts=st.sampled_from([0.05, 0.1, 0.2]) | st.floats(0.02, 0.5),
+    t_lc_max=st.floats(0.5, 8.0),
+    ttc_aeb_schedule=st.lists(
+        st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 3.0)),
+        min_size=1, max_size=2, unique_by=lambda p: p[0],
+    ).map(lambda pts: tuple(sorted(pts))),
+    r_conflict=st.floats(0.0, 20.0),
+    error_sign=st.sampled_from([-1.0, 1.0]),
+)
+
+_scenarios = st.builds(
+    mk,
+    v_l=st.just(0.0) | st.floats(0.0, 40.0),
+    r_inv=st.floats(0.01, 2.0),
+    ttc_inv=st.just(0.0) | st.floats(0.0, 5.0),  # 0 starts at v0 == v_l
+)
+
+
+def _bits(state):
+    return tuple(getattr(state, f).hex() for f in _STATE_FLOATS) + (state.mode,)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(s=_scenarios, cfg=_av_configs)
+@example(s=mk(10.0, 0.5, 5.0), cfg=AvConfig())  # crash under AEB
+@example(s=mk(10.0, 0.25, 0.5), cfg=OFF)  # crash with controllers off
+@example(s=mk(10.0, 0.5, 0.0), cfg=AvConfig(a_acc_max=0.0, a_aeb=0.0, r_aeb=0.0))
+@example(s=mk(10.0, 0.5, 2.0), cfg=AvConfig(a_aeb=0.0, r_aeb=0.0,
+                                             ttc_aeb_schedule=((8.0, 1.0),)))
+def test_simulate_matches_step_chain_bit_for_bit(s, cfg):
+    # float.hex, not ==: == takes -0.0 for 0.0, and the sign of a zero is
+    # what a wrong tie rule in the inlined loop changes first.
+    ref = _step_chain(s, cfg)
+    crashed = ref[-1].r <= 0.0
+    min_range = ref[0].r
+    sum_v = 0.0
+    for st_ in ref[1:]:
+        min_range = st_.r if st_.r < min_range else min_range
+    for st_ in ref[:-1]:
+        sum_v += st_.v
+    outcome = ("crash" if crashed else
+               "conflict" if min_range < cfg.r_conflict else "none")
+    recorded = simulate(s, cfg, record=True)
+    assert [_bits(x) for x in recorded.states] == [_bits(x) for x in ref]
+    for trace in (recorded, simulate(s, cfg)):
+        assert _bits(trace.final) == _bits(ref[-1])
+        assert trace.min_range.hex() == min_range.hex()
+        assert trace.t_end.hex() == ref[-1].t.hex()
+        assert trace.distance_m.hex() == (sum_v * cfg.ts).hex()
+        assert trace.outcome == outcome
+        if crashed:
+            assert trace.delta_v.hex() == (ref[-2].v - s.v_l).hex()
+        else:
+            assert trace.delta_v is None
