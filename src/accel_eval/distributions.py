@@ -44,36 +44,56 @@ class FitError(ValueError):
     """A maximum-likelihood or least-squares fit found no usable optimum."""
 
 
-def _maybe_scalar(out: np.ndarray, x: np.ndarray) -> np.ndarray | float:
-    return out if x.ndim else float(out)
+# Each law formula below is written once, for floats (Python or numpy) and
+# arrays alike; only these helpers treat the two differently.  On a float,
+# or a 0-d array, whose arithmetic decays to floats, ``**`` is libm ``pow``
+# (numpy's array ``**`` is not) and the exponential laws call the same numpy
+# ufuncs, so a float and a 0-d array holding it give the same bits.
+# ``_clip`` and ``_on_support`` keep np.clip's tie rules on floats.
 
 
-# The scalar branches of pdf/ppf/exp_density_ratio (taken for a Python or
-# numpy float) compute on floats and match the array code on a 0-d array
-# bit for bit: there every operation decays to np.float64, whose ``**`` is
-# libm ``pow`` like Python's, and the exponential laws call the same numpy
-# ufuncs.  ``_clip`` and the range checks keep np.clip's tie rules.
-
-
-def _pow(x: float, y: float) -> float:
-    """``x ** y``; where Python raises (a zero base under a negative power, or
-    overflow) np.float64's ``**`` gives inf and warns, as the array code does."""
+def _pow(x, y):
+    """``x ** y``; where Python raises on a float (a zero base under a negative
+    power, or overflow), np.float64's ``**`` gives inf and warns, as numpy
+    does on arrays."""
     try:
         return x ** y
     except ArithmeticError:
         return float(np.float64(x) ** y)
 
 
-def _clip(x: float, lo: float, hi: float) -> float:
-    """``np.clip(x, lo, hi)`` on one float: NaN passes, and a bound equal to
-    ``x`` (a zero of the other sign) does not replace it."""
-    x = lo if x < lo else x
-    return hi if x > hi else x
+def _clip(x, lo: float, hi: float):
+    """``np.clip(x, lo, hi)``, as a float for a float or a 0-d array.  On a
+    float NaN passes, and a bound equal to ``x`` (a zero of the other sign)
+    does not replace it."""
+    if isinstance(x, float):
+        x = lo if x < lo else x
+        return float(hi if x > hi else x)
+    out = np.clip(x, lo, hi)
+    return out if out.ndim else float(out)
 
 
-def _check_u(u: float) -> None:
-    if u < 0.0 or u > 1.0:
+def _check_u(u):
+    """``u`` as a float or an array, once every value lies in [0, 1]."""
+    if isinstance(u, float):
+        bad = u < 0.0 or u > 1.0
+    else:
+        u = np.asarray(u, dtype=float)
+        bad = np.any((u < 0.0) | (u > 1.0))
+    if bad:
         raise ValueError("u must lie in [0, 1]")
+    return u
+
+
+def _on_support(x, lo: float, hi: float, f):
+    """``f(x)`` on [lo, hi] and 0.0 outside, as a float for a float or a 0-d
+    array; on arrays ``f`` sees ``lo`` in place of the points outside."""
+    if isinstance(x, float):
+        return float(f(x)) if x >= lo and x <= hi else 0.0
+    x = np.asarray(x, dtype=float)
+    inside = (x >= lo) & (x <= hi)
+    out = np.where(inside, f(np.where(inside, x, lo)), 0.0)
+    return out if x.ndim else float(out)
 
 
 class TruncatedPareto:
@@ -98,50 +118,27 @@ class TruncatedPareto:
         self.hi = float(hi)
         # Base survival at lo, and the mass of the base law kept by the
         # truncation.  At hi = inf the survival power is exactly 0.0.
-        self._sf_lo = float(self._base_sf(lo))
-        self._z = float(self._sf_lo - self._base_sf(hi))
+        self._sf_lo = self._base_sf(self.lo)
+        self._z = self._sf_lo - self._base_sf(self.hi)
         if not self._z > 0:
             raise ValueError("truncation range carries no probability mass")
 
-    def _base_sf(self, x) -> np.ndarray | float:
-        return (1.0 + self.k * (np.asarray(x, dtype=float) - self.theta) / self.sigma) ** (
-            -1.0 / self.k
-        )
+    def _base_sf(self, x):
+        return _pow(1.0 + self.k * (x - self.theta) / self.sigma, -1.0 / self.k)
 
     def pdf(self, x) -> np.ndarray | float:
-        if isinstance(x, float):
-            if not (x >= self.lo and x <= self.hi):
-                return 0.0
-            dens = (1.0 / self.sigma) * _pow(
-                1.0 + self.k * (x - self.theta) / self.sigma, -1.0 - 1.0 / self.k
-            )
-            return float(dens / self._z)
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.lo) & (x <= self.hi)
-        xs = np.where(inside, x, self.lo)
-        dens = (1.0 / self.sigma) * (
-            1.0 + self.k * (xs - self.theta) / self.sigma
-        ) ** (-1.0 - 1.0 / self.k)
-        return _maybe_scalar(np.where(inside, dens / self._z, 0.0), x)
+        return _on_support(x, self.lo, self.hi, lambda x: (1.0 / self.sigma) * _pow(
+            1.0 + self.k * (x - self.theta) / self.sigma, -1.0 - 1.0 / self.k
+        ) / self._z)
 
     def cdf(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        xs = np.clip(x, self.lo, self.hi)
-        out = (self._sf_lo - self._base_sf(xs)) / self._z
-        return _maybe_scalar(np.clip(out, 0.0, 1.0), x)
+        xs = _clip(x, self.lo, self.hi)
+        return _clip((self._sf_lo - self._base_sf(xs)) / self._z, 0.0, 1.0)
 
     def ppf(self, u) -> np.ndarray | float:
-        if isinstance(u, float):
-            _check_u(u)
-            s = self._sf_lo - u * self._z
-            x = self.theta + (self.sigma / self.k) * (_pow(s, -self.k) - 1.0)
-            return float(_clip(x, self.lo, self.hi))
-        u = np.asarray(u, dtype=float)
-        if np.any((u < 0.0) | (u > 1.0)):
-            raise ValueError("u must lie in [0, 1]")
-        s = self._sf_lo - u * self._z
-        x = self.theta + (self.sigma / self.k) * (s ** (-self.k) - 1.0)
-        return _maybe_scalar(np.clip(x, self.lo, self.hi), u)
+        s = self._sf_lo - _check_u(u) * self._z
+        x = self.theta + (self.sigma / self.k) * (_pow(s, -self.k) - 1.0)
+        return _clip(x, self.lo, self.hi)
 
 
 class TruncatedExponential:
@@ -166,33 +163,17 @@ class TruncatedExponential:
             raise ValueError("truncation range carries no probability mass")
 
     def pdf(self, x) -> np.ndarray | float:
-        if isinstance(x, float):
-            if not (x >= self.lo and x <= self.hi):
-                return 0.0
-            return float(np.exp(-(x - self.lo) / self.mean) / (self.mean * self._q))
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.lo) & (x <= self.hi)
-        xs = np.where(inside, x, self.lo)
-        dens = np.exp(-(xs - self.lo) / self.mean) / (self.mean * self._q)
-        return _maybe_scalar(np.where(inside, dens, 0.0), x)
+        return _on_support(x, self.lo, self.hi, lambda x: np.exp(
+            -(x - self.lo) / self.mean) / (self.mean * self._q))
 
     def cdf(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        xs = np.clip(x, self.lo, self.hi)
-        out = -np.expm1(-(xs - self.lo) / self.mean) / self._q
-        return _maybe_scalar(np.clip(out, 0.0, 1.0), x)
+        xs = _clip(x, self.lo, self.hi)
+        return _clip(-np.expm1(-(xs - self.lo) / self.mean) / self._q, 0.0, 1.0)
 
     def ppf(self, u) -> np.ndarray | float:
-        if isinstance(u, float):
-            _check_u(u)
-            x = self.lo - self.mean * float(np.log1p(-u * self._q))
-            return float(_clip(x, self.lo, self.hi))
-        u = np.asarray(u, dtype=float)
-        if np.any((u < 0.0) | (u > 1.0)):
-            raise ValueError("u must lie in [0, 1]")
         # Never below lo; the upper clip is a no-op at hi = inf.
-        x = self.lo - self.mean * np.log1p(-u * self._q)
-        return _maybe_scalar(np.clip(x, self.lo, self.hi), u)
+        x = self.lo - self.mean * np.log1p(-_check_u(u) * self._q)
+        return _clip(x, self.lo, self.hi)
 
 
 def tilt_exponential(base: TruncatedExponential, vartheta: float) -> TruncatedExponential:
@@ -214,8 +195,9 @@ def exp_density_ratio(numer: TruncatedExponential, denom: TruncatedExponential, 
 
     Equals ``c * exp(-x * (1/numer.mean - 1/denom.mean))`` with a constant
     ``c`` fixed by the two normalizations, so equal means give the exact
-    same float at every ``x``.  Points outside ``numer``'s support return
-    0; callers are expected to evaluate only at points drawn from
+    same float at every ``x``.  Where ``c`` overflows or rounds to 0, its
+    log joins the exponent instead.  Points outside ``numer``'s support
+    return 0; callers are expected to evaluate only at points drawn from
     ``denom``.
     """
     log_c = (
@@ -224,16 +206,14 @@ def exp_density_ratio(numer: TruncatedExponential, denom: TruncatedExponential, 
         + numer.lo / numer.mean
         - denom.lo / denom.mean
     )
-    c = math.exp(log_c)
     rate_diff = 1.0 / numer.mean - 1.0 / denom.mean
-    if isinstance(x, float):
-        if not (x >= numer.lo and x <= numer.hi):
-            return 0.0
-        return float(c * np.exp(-x * rate_diff))
-    x = np.asarray(x, dtype=float)
-    inside = (x >= numer.lo) & (x <= numer.hi)
-    out = np.where(inside, c * np.exp(-x * rate_diff), 0.0)
-    return _maybe_scalar(out, x)
+    try:
+        c = math.exp(log_c)
+    except OverflowError:
+        c = math.inf
+    if 0.0 < c < math.inf:
+        return _on_support(x, numer.lo, numer.hi, lambda x: c * np.exp(-x * rate_diff))
+    return _on_support(x, numer.lo, numer.hi, lambda x: np.exp(log_c - x * rate_diff))
 
 
 class EmpiricalDist:

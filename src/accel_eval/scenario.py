@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,9 +164,6 @@ class ScenarioModel:
         if not lambda_floor > 0:
             raise ValueError(f"lambda_floor must be > 0, got {lambda_floor}")
         self.lambda_floor = float(lambda_floor)
-        # np.interp would convert the two lists on every call.
-        self._ttc_xp = np.array(speeds)
-        self._ttc_fp = np.array(self._ttc_means)
 
         self.bins = tuple(bins)
         if not self.bins:
@@ -199,7 +197,11 @@ class ScenarioModel:
         elif v_l >= xs[-1]:
             lam = ys[-1] + (v_l - xs[-1]) * (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
         else:
-            lam = float(np.interp(v_l, self._ttc_xp, self._ttc_fp))
+            # np.interp's own expression, on the lists and on floats; at a
+            # node it takes the node's mean, as a slope may overflow.
+            j = bisect_right(xs, v_l) - 1
+            slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+            lam = ys[j] if v_l == xs[j] else slope * (v_l - xs[j]) + ys[j]
         return max(self.lambda_floor, lam)
 
     def bin_named(self, name: str) -> VelocityBin:
@@ -244,22 +246,22 @@ class ScenarioModel:
         Exactly four uniforms are consumed, in a fixed order, so a
         scenario is fully determined by its stream.
         """
-        # Python floats, so that each law takes its scalar path.
+        # Python floats, so that each law computes on floats.
         u_bin, u_pos, u_r, u_ttc = rng.random(4).tolist()
         v_l = self.v_dist.sample_in_range(bin_range.lo, bin_range.hi, u_bin, u_pos)
         ttc_law = TruncatedExponential(self.lambda_ttc(v_l), 0.0, math.inf)
         if proposal is None:
-            r_inv = float(self.r_inv_dist.ppf(u_r))
-            ttc_inv = float(ttc_law.ppf(u_ttc))
+            r_inv = self.r_inv_dist.ppf(u_r)
+            ttc_inv = ttc_law.ppf(u_ttc)
             likelihood = 1.0
         else:
             r_prop = tilt_exponential(self.r_inv_surrogate, proposal.vartheta_r)
             t_prop = tilt_exponential(ttc_law, proposal.vartheta_ttc)
-            r_inv = float(r_prop.ppf(u_r))
-            ttc_inv = float(t_prop.ppf(u_ttc))
+            r_inv = r_prop.ppf(u_r)
+            ttc_inv = t_prop.ppf(u_ttc)
             # Lead speed cancels: it is drawn from the same law either way.
-            lr_r = float(self.r_inv_dist.pdf(r_inv)) / float(r_prop.pdf(r_inv))
-            lr_t = float(exp_density_ratio(ttc_law, t_prop, ttc_inv))
+            lr_r = self.r_inv_dist.pdf(r_inv) / r_prop.pdf(r_inv)
+            lr_t = exp_density_ratio(ttc_law, t_prop, ttc_inv)
             likelihood = lr_r * lr_t
         rdot, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
         return ScenarioSample(

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from accel_eval.distributions import (
     FitError,
     TruncatedExponential,
     TruncatedPareto,
+    _clip,
+    _pow,
     exp_density_ratio,
     fit_exponential_mle,
     fit_pareto,
@@ -194,6 +197,24 @@ def test_density_ratio_outside_numer_support_is_zero():
     assert exp_density_ratio(n, d, 6.0) == 0.0
 
 
+@pytest.mark.parametrize("numer,denom", [
+    (TruncatedExponential(0.001, 1.0, math.inf), TruncatedExponential(1.0)),
+    (TruncatedExponential(1.0), TruncatedExponential(0.001, 1.0, math.inf)),
+])
+def test_density_ratio_is_finite_where_its_constant_is_not(numer, denom):
+    # The ratio's constant is exp(+-1006.9): no float holds it, but the ratio
+    # itself is moderate near x = 1.
+    xs = np.linspace(1.0, 1.2, 21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = exp_density_ratio(numer, denom, xs)
+        scalars = [exp_density_ratio(numer, denom, float(x)) for x in xs]
+        want = numer.pdf(xs) / denom.pdf(xs)
+    assert np.all(np.isfinite(got)) and np.all(want > 0)
+    assert np.max(np.abs(got / want - 1)) < 1e-12
+    assert np.max(np.abs(np.array(scalars) / want - 1)) < 1e-12
+
+
 def _bitwise_same(f, arg):
     """``f`` on a Python or numpy float gives a float with the bits of ``f``
     on a 0-d array."""
@@ -226,6 +247,7 @@ def test_pareto_scalar_path_is_bitwise_the_array_path(k, sigma, theta, lo_gap, w
         _bitwise_same(p.ppf, u)
     for x in xs + [p.lo, p.hi]:
         _bitwise_same(p.pdf, x)
+        _bitwise_same(p.cdf, x)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -238,8 +260,28 @@ def test_exponential_scalar_path_is_bitwise_the_array_path(mean, lo, width, othe
         _bitwise_same(d.ppf, u)
     for x in xs + [d.lo, d.hi]:
         _bitwise_same(d.pdf, x)
+        _bitwise_same(d.cdf, x)
         _bitwise_same(lambda y: exp_density_ratio(d, prop, y), x)
         _bitwise_same(lambda y: exp_density_ratio(prop, d, y), x)
+
+
+_edges = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(base=st.floats(0.0, 10.0) | st.floats(0.0, 1e300) | _edges,
+       y=st.floats(-60.0, 60.0) | _edges,
+       x=st.floats(-50.0, 50.0) | _edges, lo=st.floats(-10.0, 10.0) | _edges,
+       width=st.just(0.0) | _upper)
+def test_float_helpers_are_numpy_scalar_ops(base, y, x, lo, width):
+    # The laws' float path relies on these two: its power is libm pow, which is
+    # np.float64's ``**`` but not np.power (that differs on ~5% of inputs), and
+    # its clamp keeps np.clip's NaN and signed-zero rules.
+    assume(math.isfinite(lo))
+    with np.errstate(all="ignore"):
+        assert _pow(base, y).hex() == float(np.float64(base) ** y).hex()
+    hi = lo + width
+    assert _clip(x, lo, hi).hex() == float(np.clip(np.float64(x), lo, hi)).hex()
 
 
 @pytest.mark.parametrize("u", [-1e-300, 1.0 + 2.0**-52, -math.inf])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accel_eval.distributions import EmpiricalDist, TruncatedPareto
 from accel_eval.scenario import (
@@ -99,6 +101,21 @@ def test_lambda_ttc_interpolation_and_floor():
     assert m.lambda_ttc(40.0) == pytest.approx(0.04, rel=1e-12)
     # Far extrapolation pins at the floor instead of going nonpositive.
     assert m.lambda_ttc(80.0) == 0.01
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(speeds=st.lists(st.floats(-50.0, 100.0), min_size=2, max_size=12, unique=True),
+       means=st.lists(st.floats(1e-3, 5.0), min_size=12, max_size=12),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_lambda_ttc_interpolates_as_np_interp(speeds, means, fracs):
+    xs = sorted(speeds)
+    ys = means[:len(xs)]
+    m = make_model(ttc_lambda_table=list(zip(xs, ys)))
+    # At the end nodes and beyond them lambda_ttc extrapolates instead.
+    for v in [v for v in [xs[0] + f * (xs[-1] - xs[0]) for f in fracs] + xs
+              if xs[0] < v < xs[-1]]:
+        want = max(m.lambda_floor, float(np.interp(v, xs, ys)))
+        assert m.lambda_ttc(v).hex() == want.hex(), (v, xs, ys)
 
 
 def test_min_lambda_over_bin_checks_interior_nodes():
