@@ -4,62 +4,13 @@ Sample stochastic lane-change cut-ins from fitted naturalistic
 statistics, drive a simulated ACC/AEB vehicle through them, and estimate
 conflict, crash and injury rates by importance sampling with tilts found
 through cross-entropy search.
+
+The modules are the API; the package root exports only ``load_config``
+and ``__version__``.
 """
 
 __version__ = "0.1.0"
 
-from .config import ConfigError, ExperimentConfig, load_config, parse_config
-from .cross_entropy import CeState, CeZeroHitError, ce_search, ce_update
-from .distributions import (
-    EmpiricalDist,
-    FitReport,
-    TruncatedExponential,
-    TruncatedPareto,
-    tilt_exponential,
-)
-from .estimation import (
-    ConfidenceSpec,
-    EstimatorAccumulator,
-    InjuryModel,
-    injury_probability,
-    relative_half_width,
-    required_n_cmc,
-)
-from .plant import AvConfig, SimTrace, classify_events, simulate
-from .runner import RunReport, run_experiment, run_search, write_outputs
-from .scenario import ProposalParams, ScenarioModel, ScenarioSample, VelocityBin
+from .config import load_config
 
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "ExperimentConfig",
-    "load_config",
-    "parse_config",
-    "CeState",
-    "CeZeroHitError",
-    "ce_search",
-    "ce_update",
-    "EmpiricalDist",
-    "FitReport",
-    "TruncatedExponential",
-    "TruncatedPareto",
-    "tilt_exponential",
-    "ConfidenceSpec",
-    "EstimatorAccumulator",
-    "InjuryModel",
-    "injury_probability",
-    "relative_half_width",
-    "required_n_cmc",
-    "AvConfig",
-    "SimTrace",
-    "classify_events",
-    "simulate",
-    "RunReport",
-    "run_experiment",
-    "run_search",
-    "write_outputs",
-    "ProposalParams",
-    "ScenarioModel",
-    "ScenarioSample",
-    "VelocityBin",
-]
+__all__ = ["__version__", "load_config"]

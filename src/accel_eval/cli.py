@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import yaml
 
-from .config import ConfigError, load_config
+from .config import EVENTS, MODES, ConfigError, load_config
 from .cross_entropy import CeZeroHitError
 from .ingest import fit_naturalistic, render_fit_summary
 from .runner import (
+    check_report,
     run_experiment,
     run_search,
     search_to_dict,
@@ -26,66 +28,6 @@ from .runner import (
 )
 
 __all__ = ["main"]
-
-_REPORT_KEYS = ("provenance", "resolved_config", "rows", "ce", "convergence")
-_ROW_TEXT = ("event", "bin", "mode", "n_nature_source")
-_ROW_NUMBERS = ("estimate", "ci_lo", "ci_hi", "rel_half_width", "n", "converged",
-                "d_nature_mi", "d_acc_mi", "r_acc", "n_nature")
-
-
-def _check_report(d, source: str) -> None:
-    """Raise ValueError, naming ``source`` and the key path, unless ``d`` has
-    the shape that ``runner.render_summary`` and ``runner.write_outputs``
-    read, so that a malformed stored report fails before any file is written."""
-
-    def bad(path: str, what: str):
-        return ValueError(f"{source} is not a run report: {path} {what}")
-
-    def mapping(x, path: str, keys=()) -> dict:
-        if not isinstance(x, dict):
-            raise bad(path, "is not a mapping")
-        for k in keys:
-            if k not in x:
-                raise bad(path, f"has no {k!r} key")
-        return x
-
-    def number(x, path: str, none_ok: bool = False) -> None:
-        if not (isinstance(x, (int, float)) or (none_ok and x is None)):
-            raise bad(path, "is not a number")
-
-    def table(x, path: str) -> None:
-        if not isinstance(x, list):
-            raise bad(path, "is not a list")
-        for i, row in enumerate(x):
-            if not isinstance(row, list):
-                raise bad(f"{path}[{i}]", "is not a list")
-            for j, cell in enumerate(row):
-                if not (cell is None or isinstance(cell, (int, float, str))):
-                    raise bad(f"{path}[{i}][{j}]", "is not a number or a string")
-
-    mapping(d if isinstance(d, dict) else {}, "it", _REPORT_KEYS)
-    mapping(d["provenance"], "provenance", ("config_hash", "seed", "version"))
-    conf = mapping(mapping(d["resolved_config"], "resolved_config", ("confidence",))["confidence"],
-                   "resolved_config.confidence", ("alpha", "beta"))
-    for k in ("alpha", "beta"):
-        number(conf[k], f"resolved_config.confidence.{k}")
-    if not isinstance(d["rows"], list):
-        raise bad("rows", "is not a list")
-    for i, r in enumerate(d["rows"]):
-        mapping(r, f"rows[{i}]", _ROW_TEXT + _ROW_NUMBERS)
-        for k in _ROW_TEXT:
-            if not isinstance(r[k], str):
-                raise bad(f"rows[{i}].{k}", "is not a string")
-        for k in _ROW_NUMBERS:
-            number(r[k], f"rows[{i}].{k}", none_ok=True)
-    for key, st in mapping(d["ce"], "ce").items():
-        path = f"ce[{key!r}]"
-        mapping(st, path, ("vartheta_r", "vartheta_ttc", "event_hits", "n_per_iter", "history"))
-        number(st["vartheta_r"], f"{path}.vartheta_r")
-        number(st["vartheta_ttc"], f"{path}.vartheta_ttc")
-        table(st["history"], f"{path}.history")
-    for key, rows in mapping(d["convergence"], "convergence").items():
-        table(rows, f"convergence[{key!r}]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,7 +43,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out", help="output directory (default: ./out)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument(
-        "--event", action="append", choices=["conflict", "crash", "injury"],
+        "--event", action="append", choices=EVENTS,
         default=None, help="restrict to an event type (repeatable)",
     )
     p.add_argument(
@@ -117,7 +59,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_estimation(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument(
-        "--mode", action="append", choices=["cmc", "is"], default=None,
+        "--mode", action="append", choices=MODES, default=None,
         help="restrict to an estimation mode (repeatable)",
     )
     p.add_argument("--n-cap", type=int, default=None, help="override the sample cap")
@@ -180,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
             bad = [r for r in report.rows if not r.converged]
             for r in bad:
                 print(
-                    f"warning: {r.event}/{r.bin_name}/{r.mode} not converged at "
+                    f"warning: {r.event}/{r.bin}/{r.mode} not converged at "
                     f"n={r.n} (rel half-width "
                     f"{'-' if r.rel_half_width is None else f'{r.rel_half_width:.3g}'})",
                     file=sys.stderr,
@@ -206,12 +148,17 @@ def main(argv: list[str] | None = None) -> int:
             path = os.path.join(args.result_dir, "report.json")
 
             def reject(token):
-                # Reports are strict JSON; a NaN would fail only when rewritten.
+                # Reports are strict JSON; a NaN, or a number such as 1e400
+                # that reads as infinity, would fail only when rewritten.
                 raise ValueError(f"{path} is not a run report: it holds {token}")
 
+            def finite(token):
+                x = float(token)
+                return x if math.isfinite(x) else reject(token)
+
             with open(path, "r", encoding="utf-8") as fh:
-                d = json.load(fh, parse_constant=reject)
-            _check_report(d, path)
+                d = json.load(fh, parse_constant=reject, parse_float=finite)
+            check_report(d, path)
             write_outputs(d, args.out)
             print(f"wrote {os.path.join(args.out, 'summary.txt')}")
             return 0

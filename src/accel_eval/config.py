@@ -33,6 +33,8 @@ from .plant import AvConfig
 from .scenario import STREAM_INDICES, ProposalParams, ScenarioModel, VelocityBin
 
 __all__ = [
+    "EVENTS",
+    "MODES",
     "R_RANGE",
     "V_RANGE",
     "ConfigError",
@@ -131,7 +133,6 @@ class ExperimentConfig:
     modes: tuple[str, ...]
     bins: tuple[str, ...]
     n_cap: int
-    workers: int  # validated but unused: batches run in one thread
     model: ScenarioModel
     plant: AvConfig
     confidence: ConfidenceSpec
@@ -349,13 +350,10 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"n_cap: must be >= stopping.min_samples ({min_samples}), got {n_cap}")
     if n_cap > STREAM_INDICES:
         raise ConfigError(f"n_cap: must be <= 2^32 (scenario stream indices), got {n_cap}")
-    workers = _integer(resolved["workers"], "workers")
-    if workers < 1:
+    # Batches always run in one thread: ``workers`` is validated for
+    # compatibility but kept out of the parsed config and the hashed settings.
+    if _integer(resolved.pop("workers"), "workers") < 1:
         raise ConfigError("workers: must be >= 1")
-    # Batches always run in one thread; ``workers`` is validated for
-    # compatibility but selects nothing, so it stays out of the
-    # hashed/reported settings.
-    del resolved["workers"]
 
     warm_start: dict[str, dict[str, ProposalParams]] = {}
     for ev, per_bin in _require_map(resolved["warm_start"], "warm_start").items():
@@ -385,7 +383,6 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
         modes=tuple(modes),
         bins=tuple(bins),
         n_cap=n_cap,
-        workers=workers,
         model=model,
         plant=plant,
         confidence=confidence,

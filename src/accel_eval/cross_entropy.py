@@ -129,8 +129,7 @@ def ce_search(
         for j in range(n_per_iter):
             rng = scenario_stream(seed, (it - 1) * n_per_iter + j, ns)
             s = model.sample_scenario(b, rng, params)
-            rec = classify_events(simulate(s, plant_cfg), plant_cfg)
-            hit = rec.crash if event == "crash" else rec.conflict
+            hit = getattr(classify_events(simulate(s, plant_cfg), plant_cfg), event)
             r_inv[j] = s.r_inv
             ttc_inv[j] = s.ttc_inv
             lam_ttc[j] = model.lambda_ttc(s.v_l)

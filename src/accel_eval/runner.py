@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
@@ -35,12 +36,14 @@ from .scenario import ProposalParams, scenario_stream, stream_namespace
 __all__ = [
     "EstimateRow",
     "RunReport",
+    "SUMMARY_COLUMNS",
     "run_experiment",
     "run_search",
     "search_to_dict",
     "write_outputs",
     "write_search_outputs",
     "render_summary",
+    "check_report",
 ]
 
 _MAX_TRACE_FILES = 20  # per (event, bin, mode) combination when tracing is on
@@ -51,7 +54,7 @@ class EstimateRow:
     """One estimate with its accounting, as it appears in the report."""
 
     event: str
-    bin_name: str
+    bin: str
     mode: str
     estimate: float
     ci_lo: float
@@ -83,10 +86,7 @@ class RunReport:
     def to_dict(self) -> dict:
         return {
             **_config_header(self.cfg),
-            "rows": [
-                {("bin" if k == "bin_name" else k): v for k, v in asdict(r).items()}
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "ce": {key: _ce_state_dict(st) for key, st in self.ce.items()},
             "convergence": {
                 key: [[n, est, lr, var] for (n, est, lr, var) in rows]
@@ -103,18 +103,15 @@ def _ce_event_for(event: str) -> str:
 
 def _warm_params(cfg: ExperimentConfig, event: str, bin_name: str) -> ProposalParams | None:
     p = cfg.warm_start.get(event, {}).get(bin_name)
-    if p is None and event == "injury":
-        p = cfg.warm_start.get("crash", {}).get(bin_name)
-    return p
+    return p if p is not None else cfg.warm_start.get(_ce_event_for(event), {}).get(bin_name)
 
 
 def _indicator(cfg: ExperimentConfig, event: str, trace) -> float:
+    # Each event is the EventRecord flag of its name; injury weighs a crash by severity.
     rec = classify_events(trace, cfg.plant)
-    if event == "conflict":
-        return 1.0 if rec.conflict else 0.0
-    if event == "crash":
-        return 1.0 if rec.crash else 0.0
-    return injury_probability(rec.delta_v, cfg.injury)
+    if event == "injury":
+        return injury_probability(rec.delta_v, cfg.injury)
+    return 1.0 if getattr(rec, event) else 0.0
 
 
 def _estimate_combo(
@@ -187,7 +184,7 @@ def _build_row(
 
     return EstimateRow(
         event=event,
-        bin_name=bin_name,
+        bin=bin_name,
         mode=mode,
         estimate=m,
         ci_lo=max(0.0, m - hw),
@@ -207,7 +204,7 @@ def _build_row(
     )
 
 
-def _search_all(cfg: ExperimentConfig, skip_warm: bool) -> dict[str, CeState]:
+def run_search(cfg: ExperimentConfig, skip_warm: bool = False) -> dict[str, CeState]:
     """One cross-entropy search per requested (event, bin), in config order.
 
     Injury shares the crash search; with ``skip_warm`` a pair that has
@@ -227,18 +224,13 @@ def _search_all(cfg: ExperimentConfig, skip_warm: bool) -> dict[str, CeState]:
     return results
 
 
-def run_search(cfg: ExperimentConfig) -> dict[str, CeState]:
-    """Cross-entropy search only, for every requested (event, bin)."""
-    return _search_all(cfg, skip_warm=False)
-
-
 def run_experiment(
     cfg: ExperimentConfig, do_ce: bool = True, verbose_traces: bool = False
 ) -> RunReport:
     """Search (unless warm-started or disabled) then estimate every combination."""
     ce_results: dict[str, CeState] = {}
     if "is" in cfg.modes and do_ce:
-        ce_results = _search_all(cfg, skip_warm=True)
+        ce_results = run_search(cfg, skip_warm=True)
 
     rows: list[EstimateRow] = []
     convergence: dict[str, list] = {}
@@ -253,11 +245,8 @@ def run_experiment(
                 if mode == "is":
                     params = _warm_params(cfg, event, bin_name)
                     if params is None:
-                        state = ce_results.get(f"{_ce_event_for(event)}/{bin_name}")
-                        if state is not None:
-                            params = state.params
-                        else:
-                            params = ProposalParams(0.0, 0.0, bin_name)
+                        st = ce_results.get(f"{_ce_event_for(event)}/{bin_name}")
+                        params = ProposalParams(0.0, 0.0, bin_name) if st is None else st.params
                     cfg.model.validate_proposal(params)
                 acc, conv, ok, logs = _estimate_combo(
                     cfg, event, bin_name, mode, params, verbose_traces
@@ -363,6 +352,18 @@ def _fmt(x, width: int = 12) -> str:
     return f"{x:.6g}".rjust(width)
 
 
+# The summary's columns: header, row key, and the width of a left-aligned
+# text column (None for a number, right-aligned in 12).  Each row then
+# ends with its n_nature_source.
+SUMMARY_COLUMNS = (
+    ("event", "event", 9), ("bin", "bin", 8), ("mode", "mode", 5),
+    ("estimate", "estimate", None), ("ci_lo", "ci_lo", None), ("ci_hi", "ci_hi", None),
+    ("rel_hw", "rel_half_width", None), ("n", "n", None), ("conv", "converged", None),
+    ("D_nat_mi", "d_nature_mi", None), ("D_acc_mi", "d_acc_mi", None),
+    ("r_acc", "r_acc", None), ("n_nature", "n_nature", None),
+)
+
+
 def render_summary(d: dict) -> str:
     """Human-readable summary from a report dictionary."""
     conf = d["resolved_config"]["confidence"]
@@ -372,23 +373,14 @@ def render_summary(d: dict) -> str:
         f"estimates (confidence {(1.0 - conf['alpha']) * 100:.4g}%, "
         f"target relative half-width {conf['beta']:.4g}):",
     ]
-    header = (
-        f"{'event':<9}{'bin':<8}{'mode':<5}"
-        + "".join(
-            h.rjust(12)
-            for h in ("estimate", "ci_lo", "ci_hi", "rel_hw", "n", "conv",
-                      "D_nat_mi", "D_acc_mi", "r_acc", "n_nature")
-        )
+    lines.append(
+        "".join(h.rjust(12) if w is None else h.ljust(w) for h, _, w in SUMMARY_COLUMNS)
         + "  source"
     )
-    lines.append(header)
     for r in d["rows"]:
         lines.append(
-            f"{r['event']:<9}{r['bin']:<8}{r['mode']:<5}"
-            + _fmt(r["estimate"]) + _fmt(r["ci_lo"]) + _fmt(r["ci_hi"])
-            + _fmt(r["rel_half_width"]) + _fmt(r["n"]) + _fmt(r["converged"])
-            + _fmt(r["d_nature_mi"]) + _fmt(r["d_acc_mi"]) + _fmt(r["r_acc"])
-            + _fmt(r["n_nature"]) + f"  {r['n_nature_source']}"
+            "".join(_fmt(r[k]) if w is None else r[k].ljust(w) for _, k, w in SUMMARY_COLUMNS)
+            + f"  {r['n_nature_source']}"
         )
     if d["ce"]:
         # report.json stores ``ce`` under sorted keys; list the tilts in the
@@ -398,6 +390,69 @@ def render_summary(d: dict) -> str:
         lines += ["", "cross-entropy tilts:", *_tilt_lines(ce)]
     lines.append("")
     return "\n".join(lines)
+
+
+def check_report(d, source: str) -> None:
+    """Raise ValueError, naming ``source`` and the key path, unless ``d`` has
+    the shape that :func:`render_summary` and :func:`write_outputs` read, so
+    that a malformed stored report fails before any file is written."""
+
+    def bad(path: str, what: str):
+        return ValueError(f"{source} is not a run report: {path} {what}")
+
+    def mapping(x, path: str, keys=()) -> dict:
+        if not isinstance(x, dict):
+            raise bad(path, "is not a mapping")
+        for k in keys:
+            if k not in x:
+                raise bad(path, f"has no {k!r} key")
+        return x
+
+    def number(x, path: str, none_ok: bool = False) -> None:
+        if none_ok and x is None:
+            return
+        if not isinstance(x, (int, float)):
+            raise bad(path, "is not a number")
+        # An int past the float range fails when the summary formats it.
+        if not -sys.float_info.max <= x <= sys.float_info.max:
+            raise bad(path, "is outside the float range")
+
+    def table(x, path: str) -> None:
+        if not isinstance(x, list):
+            raise bad(path, "is not a list")
+        for i, row in enumerate(x):
+            if not isinstance(row, list):
+                raise bad(f"{path}[{i}]", "is not a list")
+            for j, cell in enumerate(row):
+                if not (cell is None or isinstance(cell, (int, float, str))):
+                    raise bad(f"{path}[{i}][{j}]", "is not a number or a string")
+
+    mapping(d if isinstance(d, dict) else {}, "it",
+            ("provenance", "resolved_config", "rows", "ce", "convergence"))
+    mapping(d["provenance"], "provenance", ("config_hash", "seed", "version"))
+    conf = mapping(mapping(d["resolved_config"], "resolved_config", ("confidence",))["confidence"],
+                   "resolved_config.confidence", ("alpha", "beta"))
+    for k in ("alpha", "beta"):
+        number(conf[k], f"resolved_config.confidence.{k}")
+    if not isinstance(d["rows"], list):
+        raise bad("rows", "is not a list")
+    text = [k for _, k, w in SUMMARY_COLUMNS if w is not None] + ["n_nature_source"]
+    numbers = [k for _, k, w in SUMMARY_COLUMNS if w is None]
+    for i, r in enumerate(d["rows"]):
+        mapping(r, f"rows[{i}]", text + numbers)
+        for k in text:
+            if not isinstance(r[k], str):
+                raise bad(f"rows[{i}].{k}", "is not a string")
+        for k in numbers:
+            number(r[k], f"rows[{i}].{k}", none_ok=True)
+    for key, st in mapping(d["ce"], "ce").items():
+        path = f"ce[{key!r}]"
+        mapping(st, path, ("vartheta_r", "vartheta_ttc", "event_hits", "n_per_iter", "history"))
+        number(st["vartheta_r"], f"{path}.vartheta_r")
+        number(st["vartheta_ttc"], f"{path}.vartheta_ttc")
+        table(st["history"], f"{path}.history")
+    for key, rows in mapping(d["convergence"], "convergence").items():
+        table(rows, f"convergence[{key!r}]")
 
 
 def _csv_cell(x) -> str:

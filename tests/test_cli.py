@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 import yaml
@@ -10,6 +11,7 @@ import yaml
 from accel_eval.cli import main
 from accel_eval.config import parse_config
 from accel_eval.plant import simulate
+from accel_eval.runner import SUMMARY_COLUMNS
 from accel_eval.scenario import ProposalParams, scenario_stream, stream_namespace
 
 from test_ingest import _synthetic_rows, _write_csv
@@ -263,18 +265,39 @@ def test_report_rejects_a_file_that_is_not_a_run_report(tmp_path, capsys, conten
     assert not out.exists()
 
 
+# Every key of a stored row that the summary reads.
+ROW_KEYS = [k for _, k, _ in SUMMARY_COLUMNS] + ["n_nature_source"]
+
+
+def _without_row_key(key):
+    def edit(text):
+        d = json.loads(text)
+        del d["rows"][0][key]
+        return json.dumps(d)
+    return edit
+
+
 @pytest.mark.parametrize("change, where", [
     ({"resolved_config": {}}, "resolved_config has no 'confidence' key"),
     ({"convergence": 5}, "convergence is not a mapping"),
     ({"rows": [{"event": "conflict"}]}, "rows[0] has no 'bin' key"),
     ({"resolved_config": {"confidence": {"alpha": math.nan, "beta": 0.2}}}, "it holds NaN"),
-], ids=["empty-resolved-config", "convergence-not-a-mapping", "row-without-keys", "nan"])
+    ({"resolved_config": {"confidence": {"alpha": 10**400, "beta": 0.2}}},
+     "resolved_config.confidence.alpha is outside the float range"),
+    # json reads 1e400 as infinity, which strict JSON cannot write back.
+    (lambda text: re.sub(r'"r_acc": [^,\n]+', '"r_acc": 1e400', text, count=1),
+     "it holds 1e400"),
+    *((_without_row_key(k), f"rows[0] has no {k!r} key") for k in ROW_KEYS),
+], ids=["empty-resolved-config", "convergence-not-a-mapping", "row-without-keys", "nan",
+        "int-past-float-range", "float-past-float-range", *(f"row-without-{k}" for k in ROW_KEYS)])
 def test_report_checks_values_before_writing(tmp_path, capsys, change, where):
+    """``change`` is merged into the stored report, or edits its text when callable."""
     stored = tmp_path / "stored"
     assert main(["estimate", "--config", _fast_config(tmp_path), "--out", str(stored)]) == 0
     path = stored / "report.json"
-    path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), **change}),
-                    encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    text = change(text) if callable(change) else json.dumps({**json.loads(text), **change})
+    path.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
     capsys.readouterr()

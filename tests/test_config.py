@@ -29,7 +29,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.modes == ("is",)
     assert cfg.bins == ("low", "medium", "high")
     assert cfg.n_cap == 200000
-    assert cfg.workers == 1
     assert cfg.plant == AvConfig()
     assert cfg.confidence == ConfidenceSpec(0.2, 0.2)
     assert cfg.injury.delta_v_unit == "m/s"
@@ -180,7 +179,6 @@ def test_sample_counts_fit_the_stream_index_range():
 def test_workers_excluded_from_resolved_settings():
     a = parse_config({"seed": 1, "workers": 1})
     b = parse_config({"seed": 1, "workers": 8})
-    assert a.workers == 1 and b.workers == 8
     assert "workers" not in a.resolved
     assert a.resolved == b.resolved
     assert config_digest(a.resolved) == config_digest(b.resolved)
