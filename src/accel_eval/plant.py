@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .scenario import ScenarioSample
 
@@ -89,8 +90,35 @@ class AvConfig:
         speeds = [v for v, _ in self.ttc_aeb_schedule]
         if any(b >= a for a, b in zip(speeds[1:], speeds)):
             raise ValueError("ttc_aeb_schedule speeds must be strictly increasing")
-        if any(t < 0 for _, t in self.ttc_aeb_schedule):
+        if not all(t >= 0 for _, t in self.ttc_aeb_schedule):
             raise ValueError("ttc_aeb_schedule thresholds must be >= 0")
+
+    @cached_property
+    def _loop_constants(self) -> tuple:
+        """What :func:`simulate` derives from the config, once per config.
+
+        Segments are ``(v0, t0, v1, t1 - t0, v1 - v0)`` for
+        :func:`aeb_threshold`'s expression.  ``thr_cap`` lies above every
+        threshold it returns: with thresholds >= 0 an interpolated one
+        exceeds the largest only by its four roundings (2 ulps seen), and
+        the cap adds 8 ulps.  ``ticks`` are the times after each step, each
+        the previous plus ``ts``, as :func:`step` sums them.
+        """
+        ts = self.ts
+        sched = self.ttc_aeb_schedule
+        thr_max = max(t for _, t in sched)
+        ticks = []
+        t = 0.0
+        for _ in range(round(self.t_lc_max / ts)):
+            t = t + ts
+            ticks.append(t)
+        return (
+            ts, ts / self.tau_av, self.a_acc_max, -self.a_acc_max, -self.a_aeb,
+            self.r_aeb * ts, self.kp_acc, self.ki_acc, self.error_sign, self.t_hw_desired,
+            sched[0], sched[-1],
+            tuple((v0, t0, v1, t1 - t0, v1 - v0) for (v0, t0), (v1, t1) in zip(sched, sched[1:])),
+            thr_max + 8 * math.ulp(thr_max), tuple(ticks),
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,33 +236,26 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
     Distance uses the rectangle rule on the speed at each period start,
     which is also the integration scheme of the kinematics.  The loop is
     :func:`step` on local floats, as it is the hot loop of every
-    estimator: each ``cfg`` field is read once per call, the AEB
-    threshold comes from a segment table ``(v0, t0, v1, t1 - t0, v1 - v0)``
-    built once per call with :func:`aeb_threshold`'s expression, and each
-    builtin ``max``/``min`` is a comparison that keeps the builtin's tie
-    rule (``max(a, b)`` is ``a`` unless ``b > a``), which decides the sign
-    of a zero.  Tests hold it to :func:`step` bit for bit.  With
-    ``record`` the trace also holds the state at every tick, the initial
-    one included.
+    estimator: the config's constants are derived once per ``AvConfig``
+    (``AvConfig._loop_constants``), and each builtin ``max``/``min`` is a
+    comparison that keeps the builtin's tie rule (``max(a, b)`` is ``a``
+    unless ``b > a``), which decides the sign of a zero.  Two short cuts
+    skip checks that cannot fire, and rely on these conditions:
+
+    - thresholds are validated >= 0, so the AEB threshold is interpolated
+      only when the TTC is below ``thr_cap``, the largest threshold plus
+      the interpolation's rounding;
+    - the range update uses the speed at the start of the step, so the
+      range falls only on a closing step (that speed above ``v_l``); it
+      starts every step above 0, so ``min_range`` and the crash test are
+      updated only on closing steps.
+
+    Tests hold it to :func:`step` bit for bit.  With ``record`` the trace
+    also holds the state at every tick, the initial one included.
     """
     v_l = scenario.v_l
-    ts = cfg.ts
-    lag = ts / cfg.tau_av
-    n_steps = round(cfg.t_lc_max / ts)
-    a_hi = cfg.a_acc_max
-    a_lo = -a_hi
-    a_floor = -cfg.a_aeb
-    ramp = cfg.r_aeb * ts
-    kp = cfg.kp_acc
-    ki = cfg.ki_acc
-    sign = cfg.error_sign
-    t_hw_desired = cfg.t_hw_desired
-    sched = cfg.ttc_aeb_schedule
-    v_first, thr_first = sched[0]
-    v_last, thr_last = sched[-1]
-    segments = [
-        (v0, t0, v1, t1 - t0, v1 - v0) for (v0, t0), (v1, t1) in zip(sched, sched[1:])
-    ]
+    (ts, lag, a_hi, a_lo, a_floor, ramp, kp, ki, sign, t_hw_desired,
+     (v_first, thr_first), (v_last, thr_last), segments, thr_cap, ticks) = cfg._loop_constants
 
     state = _initial_state(scenario, cfg)
     states = [state] if record else []
@@ -248,19 +269,21 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
     min_range = r
     sum_v = 0.0
     delta_v = None
-    for _ in range(n_steps):
-        if not aeb and v > v_l:
-            if v <= v_first:
-                thr = thr_first
-            elif v >= v_last:
-                thr = thr_last
-            else:
-                for v0, t0, v1, dt, dv in segments:
-                    if v <= v1:
-                        thr = t0 + (v - v0) * dt / dv
-                        break
-            if r / (v - v_l) < thr:
-                aeb = True
+    for t in ticks:
+        closing = v > v_l
+        if closing and not aeb:
+            ttc = r / (v - v_l)
+            if ttc < thr_cap:
+                if v <= v_first:
+                    thr = thr_first
+                elif v >= v_last:
+                    thr = thr_last
+                else:
+                    for v0, t0, v1, dt, dv in segments:
+                        if v <= v1:
+                            thr = t0 + (v - v0) * dt / dv
+                            break
+                aeb = ttc < thr
         if aeb:
             a_d = a_cmd + ramp
             a_cmd = a_d if a_d > a_floor else a_floor
@@ -276,17 +299,17 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
         v = v + a * ts
         v = v if v > 0.0 else 0.0
         r = r + (v_l - v_before) * ts
-        t = t + ts
         sum_v += v_before
         if record:
             states.append(SimState(
                 t=t, r=r, v=v, a=a, a_cmd=a_cmd, mode=AEB if aeb else ACC, prev_err=prev_err,
             ))
-        if r < min_range:
-            min_range = r
-        if r <= 0.0:
-            delta_v = v_before - v_l
-            break
+        if closing:
+            if r < min_range:
+                min_range = r
+            if r <= 0.0:
+                delta_v = v_before - v_l
+                break
     final = SimState(
         t=t, r=r, v=v, a=a, a_cmd=a_cmd, mode=AEB if aeb else ACC, prev_err=prev_err,
     )

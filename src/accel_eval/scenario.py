@@ -13,6 +13,7 @@ import hashlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -101,19 +102,48 @@ def stream_namespace(label: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
+@cache
+def _philox_key_type() -> type:
+    """Seed-sequence class that hands Philox its key and draws no entropy.
+
+    ``Philox(key=seed)`` first builds a default ``SeedSequence()`` from OS
+    entropy and then discards it; given a seed sequence instead, Philox
+    takes its key from ``generate_state(2, uint64)``.  numpy refuses any
+    object that does not subclass ``ISeedSequence``, whose module loads
+    ``numpy.random``, so the class is made on first use: importing this
+    module and loading a config stay without ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        __slots__ = ("seed",)
+
+        def __init__(self, seed: int):
+            self.seed = seed
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # The two 64-bit key words that ``key=seed`` sets (seed < 2**64).
+            return np.array((self.seed, 0), dtype=dtype)
+
+    return PhiloxKey
+
+
 def scenario_stream(seed: int, index: int, namespace: int = 0) -> np.random.Generator:
     """Independent counter-based stream for scenario ``index``.
 
     Each (namespace, index) pair owns a disjoint counter block of the
     Philox cipher keyed by ``seed``, so draws do not depend on how many
-    scenarios run concurrently or in what order.
+    scenarios run concurrently or in what order.  The stream is the one
+    of ``Philox(key=seed, counter=...)``, built without seeding entropy.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if index < 0 or index >= STREAM_INDICES:
         raise ValueError(f"index out of range: {index}")
     if namespace < 0 or namespace >= STREAM_INDICES:
         raise ValueError(f"namespace out of range: {namespace}")
     counter = ((namespace << 32) | index) << 64
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    return np.random.Generator(np.random.Philox(_philox_key_type()(seed), counter=counter))
 
 
 class ScenarioModel:

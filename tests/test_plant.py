@@ -51,6 +51,8 @@ def test_config_validation():
         AvConfig(ttc_aeb_schedule=((15.0, 1.0), (5.0, 1.3)))
     with pytest.raises(ValueError):
         AvConfig(ttc_aeb_schedule=((5.0, -1.0),))
+    with pytest.raises(ValueError):
+        AvConfig(ttc_aeb_schedule=((5.0, math.nan), (40.0, 1.0)))
 
 
 def test_aeb_threshold_schedule():
@@ -264,7 +266,7 @@ _av_configs = st.builds(
     t_lc_max=st.floats(0.5, 8.0),
     ttc_aeb_schedule=st.lists(
         st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 3.0)),
-        min_size=1, max_size=2, unique_by=lambda p: p[0],
+        min_size=1, max_size=4, unique_by=lambda p: p[0],
     ).map(lambda pts: tuple(sorted(pts))),
     r_conflict=st.floats(0.0, 20.0),
     error_sign=st.sampled_from([-1.0, 1.0]),
@@ -289,6 +291,15 @@ def _bits(state):
 @example(s=mk(10.0, 0.5, 0.0), cfg=AvConfig(a_acc_max=0.0, a_aeb=0.0, r_aeb=0.0))
 @example(s=mk(10.0, 0.5, 2.0), cfg=AvConfig(a_aeb=0.0, r_aeb=0.0,
                                              ttc_aeb_schedule=((8.0, 1.0),)))
+# At this constant speed the interpolated threshold rounds to
+# 2.9400000000000004, above the largest threshold 2.94, and the TTC after
+# one step lies between the two: AEB latches at the second step.  The
+# plant reads only v_l, r0 and v0, given here to the last bit.
+@example(s=ScenarioSample(v_l=0.0, r_inv=1 / 93.63199999999999, ttc_inv=0.0,
+                          r0=93.63199999999999, rdot=-30.799999999999997,
+                          v0=30.799999999999997, likelihood=1.0),
+         cfg=AvConfig(a_acc_max=0.0, a_aeb=0.0, r_aeb=0.0,
+                      ttc_aeb_schedule=((7.4, 1.34), (30.8, 2.94))))
 def test_simulate_matches_step_chain_bit_for_bit(s, cfg):
     # float.hex, not ==: == takes -0.0 for 0.0, and the sign of a zero is
     # what a wrong tie rule in the inlined loop changes first.

@@ -89,6 +89,30 @@ def test_scenario_stream_rejects_out_of_range():
         scenario_stream(1, 1 << 32)
     with pytest.raises(ValueError):
         scenario_stream(1, 0, 1 << 32)
+    # A seed is an integer in [0, 2**64), the range the config enforces;
+    # 1.5 and True must not silently become seed 1.
+    for seed in (1.5, True, np.float64(1.0), np.True_, -1, 1 << 64, 1 << 128):
+        with pytest.raises(ValueError, match="seed"):
+            scenario_stream(seed, 0)
+    assert scenario_stream(np.uint64(7), 3).random() == scenario_stream(7, 3).random()
+
+
+def test_scenario_stream_is_the_keyed_philox():
+    # Nine uniforms cross Philox's 4-word output blocks.
+    for seed in (0, 1, 1 << 63, (1 << 64) - 1):
+        for index in (0, 1, (1 << 32) - 1):
+            for ns in (0, (1 << 32) - 1):
+                keyed = np.random.Philox(key=seed, counter=((ns << 32) | index) << 64)
+                expected = np.random.Generator(keyed).random(9)
+                got = scenario_stream(seed, index, ns).random(9)
+                assert got.tobytes() == expected.tobytes(), (seed, index, ns)
+    # Each call returns a fresh generator: drawing from one leaves the
+    # other where it was.
+    a, b = scenario_stream(3, 5, 7), scenario_stream(3, 5, 7)
+    assert a is not b and a.bit_generator is not b.bit_generator
+    first = scenario_stream(3, 5, 7).random()
+    a.random(3)
+    assert b.random() == first
 
 
 def test_lambda_ttc_interpolation_and_floor():
