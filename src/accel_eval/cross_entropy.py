@@ -116,25 +116,25 @@ def ce_search(
     lam_cap = model.min_lambda_ttc_in(b)
     ns = stream_namespace(f"ce/{event}/{bin_name}")
 
+    sample = model.sample_scenario
     params = ProposalParams(0.0, 0.0, bin_name)
     history: list[CeIterate] = []
     zero_run = 0
     hits = 0
     for it in range(1, iterations + 1):
-        r_inv = np.empty(n_per_iter)
-        ttc_inv = np.empty(n_per_iter)
-        lam_ttc = np.empty(n_per_iter)
-        w = np.empty(n_per_iter)
+        r_inv: list[float] = []
+        ttc_inv: list[float] = []
+        lam_ttc: list[float] = []
+        w: list[float] = []
         hits = 0
-        for j in range(n_per_iter):
-            rng = scenario_stream(seed, (it - 1) * n_per_iter + j, ns)
-            s = model.sample_scenario(b, rng, params)
+        for i in range((it - 1) * n_per_iter, it * n_per_iter):
+            s = sample(b, scenario_stream(seed, i, ns), params)
             hit = getattr(classify_events(simulate(s, plant_cfg), plant_cfg), event)
-            r_inv[j] = s.r_inv
-            ttc_inv[j] = s.ttc_inv
-            lam_ttc[j] = model.lambda_ttc(s.v_l)
-            w[j] = s.likelihood if hit else 0.0
-            hits += int(hit)
+            r_inv.append(s.r_inv)
+            ttc_inv.append(s.ttc_inv)
+            lam_ttc.append(s.lambda_ttc)
+            w.append(s.likelihood if hit else 0.0)
+            hits += hit
         if hits == 0:
             zero_run += 1
             if zero_run >= max_zero_iters:

@@ -14,8 +14,9 @@ following vehicle's state evolves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 from .scenario import ScenarioSample
 
@@ -69,6 +70,10 @@ class AvConfig:
     error_sign: float = -1.0  # +1 uses raw headway error; -1 flips it
 
     def __post_init__(self):
+        for f in fields(self):
+            x = getattr(self, f.name)
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"{f.name} must be finite, got {x}")
         if not self.ts > 0:
             raise ValueError(f"ts must be > 0, got {self.ts}")
         if not self.tau_av > 0:
@@ -87,6 +92,11 @@ class AvConfig:
             raise ValueError(f"error_sign must be -1 or +1, got {self.error_sign}")
         if not self.ttc_aeb_schedule:
             raise ValueError("ttc_aeb_schedule must not be empty")
+        if not all(math.isfinite(v) and math.isfinite(t) for v, t in self.ttc_aeb_schedule):
+            raise ValueError(
+                f"ttc_aeb_schedule speeds and thresholds must be finite, "
+                f"got {self.ttc_aeb_schedule}"
+            )
         speeds = [v for v, _ in self.ttc_aeb_schedule]
         if any(b >= a for a, b in zip(speeds[1:], speeds)):
             raise ValueError("ttc_aeb_schedule speeds must be strictly increasing")
@@ -121,8 +131,7 @@ class AvConfig:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class SimState:
+class SimState(NamedTuple):
     """Following-vehicle state at one control tick.
 
     Under ACC the last command ``a_cmd`` is also the PI memory; once AEB
@@ -138,8 +147,7 @@ class SimState:
     prev_err: float  # last headway error seen by the PI
 
 
-@dataclass(frozen=True)
-class SimTrace:
+class SimTrace(NamedTuple):
     """Outcome of one simulated event."""
 
     states: tuple[SimState, ...]  # empty unless recording was requested
@@ -151,8 +159,9 @@ class SimTrace:
     distance_m: float  # m traveled by the following vehicle
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
+    """Event flags of one simulated event."""
+
     conflict: bool
     crash: bool
     delta_v: float | None
@@ -250,6 +259,13 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
       starts every step above 0, so ``min_range`` and the crash test are
       updated only on closing steps.
 
+    The initial mode is AEB when the TTC at cut-in is below the threshold
+    at ``v0`` (:func:`_initial_state`).  The first tick's latch makes that
+    same test on the same ``(r0, v0)``, so the loop starts in ACC and
+    builds no initial state; only ``record`` and a horizon shorter than
+    half a control period, which runs no tick and ends in the initial
+    state, build it.
+
     Tests hold it to :func:`step` bit for bit.  With ``record`` the trace
     also holds the state at every tick, the initial one included.
     """
@@ -257,14 +273,19 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
     (ts, lag, a_hi, a_lo, a_floor, ramp, kp, ki, sign, t_hw_desired,
      (v_first, thr_first), (v_last, thr_last), segments, thr_cap, ticks) = cfg._loop_constants
 
-    state = _initial_state(scenario, cfg)
-    states = [state] if record else []
+    eps = _V_HEADWAY_EPS
+    states = []
     t = 0.0
-    r = state.r
-    v = state.v
+    r = scenario.r0
+    v = scenario.v0
     a = 0.0
     a_cmd = 0.0
-    aeb = state.mode == AEB
+    aeb = False
+    if record or not ticks:
+        first = _initial_state(scenario, cfg)
+        aeb = first.mode == AEB
+        if record:
+            states.append(first)
     prev_err = 0.0
     min_range = r
     sum_v = 0.0
@@ -288,7 +309,7 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
             a_d = a_cmd + ramp
             a_cmd = a_d if a_d > a_floor else a_floor
         else:
-            t_hw = r / (_V_HEADWAY_EPS if _V_HEADWAY_EPS > v else v)
+            t_hw = r / (eps if eps > v else v)
             err = sign * (t_hw - t_hw_desired)
             a_d = a_cmd + kp * (err - prev_err) + ki * (err + prev_err) * ts / 2.0
             a_d = a_d if a_d > a_lo else a_lo
@@ -301,37 +322,26 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
         r = r + (v_l - v_before) * ts
         sum_v += v_before
         if record:
-            states.append(SimState(
-                t=t, r=r, v=v, a=a, a_cmd=a_cmd, mode=AEB if aeb else ACC, prev_err=prev_err,
-            ))
+            states.append(SimState(t, r, v, a, a_cmd, AEB if aeb else ACC, prev_err))
         if closing:
             if r < min_range:
                 min_range = r
             if r <= 0.0:
                 delta_v = v_before - v_l
                 break
-    final = SimState(
-        t=t, r=r, v=v, a=a, a_cmd=a_cmd, mode=AEB if aeb else ACC, prev_err=prev_err,
-    )
+    # Records are built by position, which takes half the time of keywords.
+    final = SimState(t, r, v, a, a_cmd, AEB if aeb else ACC, prev_err)
     if r <= 0.0:
         outcome = "crash"
     elif min_range < cfg.r_conflict:
         outcome = "conflict"
     else:
         outcome = "none"
-    return SimTrace(
-        states=tuple(states),
-        final=final,
-        outcome=outcome,
-        t_end=t,
-        min_range=min_range,
-        delta_v=delta_v,
-        distance_m=sum_v * ts,
-    )
+    return SimTrace(tuple(states), final, outcome, t, min_range, delta_v, sum_v * ts)
 
 
 def classify_events(trace: SimTrace, cfg: AvConfig) -> EventRecord:
     """Conflict and crash flags recomputed from the trace geometry."""
     crash = trace.final.r <= 0.0
     conflict = trace.min_range < cfg.r_conflict
-    return EventRecord(conflict=conflict, crash=crash, delta_v=trace.delta_v)
+    return EventRecord(conflict, crash, trace.delta_v)

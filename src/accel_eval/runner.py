@@ -129,13 +129,14 @@ def _estimate_combo(
     conv: list[tuple[int, float, float | None, float]] = []
     rows: list[tuple] = []
     traced: list[tuple] = []
+    seed, plant, sample = cfg.seed, cfg.plant, cfg.model.sample_scenario
     for start in range(0, cfg.n_cap, cfg.check_every):
         acc = EstimatorAccumulator()
+        update = acc.update
         for i in range(start, min(start + cfg.check_every, cfg.n_cap)):
-            rng = scenario_stream(cfg.seed, i, ns)
-            s = cfg.model.sample_scenario(b, rng, params)
-            trace = simulate(s, cfg.plant)
-            acc.update(_indicator(cfg, event, trace), s.likelihood, trace.distance_m)
+            s = sample(b, scenario_stream(seed, i, ns), params)
+            trace = simulate(s, plant)
+            update(_indicator(cfg, event, trace), s.likelihood, trace.distance_m)
             if keep_log:
                 rows.append(
                     (i, s.v_l, s.r_inv, s.ttc_inv, s.likelihood, trace.outcome,

@@ -14,6 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +68,7 @@ class ProposalParams:
     bin_name: str
 
 
-@dataclass(frozen=True)
-class ScenarioSample:
+class ScenarioSample(NamedTuple):
     """One sampled cut-in with its derived kinematics and importance weight."""
 
     v_l: float  # lead speed, m/s
@@ -78,6 +78,8 @@ class ScenarioSample:
     rdot: float  # initial range rate, m/s (<= 0)
     v0: float  # initial following-vehicle speed, m/s
     likelihood: float  # density ratio original/proposal (1.0 under the original law)
+    # Inverse-TTC mean at v_l, as drawn with; None for a sample built by hand.
+    lambda_ttc: float | None = None
 
 
 def derive_kinematics(v_l: float, r_inv: float, ttc_inv: float) -> tuple[float, float, float]:
@@ -279,7 +281,8 @@ class ScenarioModel:
         # Python floats, so that each law computes on floats.
         u_bin, u_pos, u_r, u_ttc = rng.random(4).tolist()
         v_l = self.v_dist.sample_in_range(bin_range.lo, bin_range.hi, u_bin, u_pos)
-        ttc_law = TruncatedExponential(self.lambda_ttc(v_l), 0.0, math.inf)
+        lam = self.lambda_ttc(v_l)
+        ttc_law = TruncatedExponential(lam, 0.0, math.inf)
         if proposal is None:
             r_inv = self.r_inv_dist.ppf(u_r)
             ttc_inv = ttc_law.ppf(u_ttc)
@@ -294,7 +297,4 @@ class ScenarioModel:
             lr_t = exp_density_ratio(ttc_law, t_prop, ttc_inv)
             likelihood = lr_r * lr_t
         rdot, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
-        return ScenarioSample(
-            v_l=v_l, r_inv=r_inv, ttc_inv=ttc_inv, r0=r0, rdot=rdot, v0=v0,
-            likelihood=likelihood,
-        )
+        return ScenarioSample(v_l, r_inv, ttc_inv, r0, rdot, v0, likelihood, lam)

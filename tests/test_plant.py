@@ -1,5 +1,6 @@
 """Vehicle plant: PI law, AEB trigger and ramp, actuator lag, outcomes."""
 
+import dataclasses
 import math
 
 import pytest
@@ -10,7 +11,9 @@ from accel_eval.plant import (
     ACC,
     AEB,
     AvConfig,
+    EventRecord,
     SimState,
+    SimTrace,
     acc_command,
     aeb_threshold,
     classify_events,
@@ -53,6 +56,20 @@ def test_config_validation():
         AvConfig(ttc_aeb_schedule=((5.0, -1.0),))
     with pytest.raises(ValueError):
         AvConfig(ttc_aeb_schedule=((5.0, math.nan), (40.0, 1.0)))
+    # Every non-finite float is refused by name.  A NaN schedule speed
+    # passed the increasing check (a comparison with NaN is False), NaN
+    # gains had no check, and infinities passed the one-sided range checks.
+    for sched in (((math.nan, 1.0), (40.0, 1.3)), ((5.0, 1.0), (math.nan, 1.3)),
+                  ((5.0, 1.0), (math.inf, 1.3)), ((-math.inf, 1.0), (40.0, 1.3)),
+                  ((5.0, math.inf),)):
+        with pytest.raises(ValueError, match="ttc_aeb_schedule"):
+            AvConfig(ttc_aeb_schedule=sched)
+    floats = [f.name for f in dataclasses.fields(AvConfig) if isinstance(f.default, float)]
+    assert {"kp_acc", "ki_acc", "t_hw_desired", "r_conflict"} <= set(floats)
+    for name in floats:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                AvConfig(**{name: bad})
 
 
 def test_aeb_threshold_schedule():
@@ -238,6 +255,22 @@ def test_fast_and_recorded_paths_agree_exactly():
     assert outcomes == {"none", "conflict", "crash"}
 
 
+def test_records_are_immutable():
+    s = ScenarioSample(v_l=10.0, r_inv=0.5, ttc_inv=2.0, r0=2.0, rdot=-4.0, v0=14.0,
+                       likelihood=1.0)
+    assert s.lambda_ttc is None  # defaulted, so samples built by hand need no mean
+    state = SimState(t=0.0, r=2.0, v=14.0, a=0.0, a_cmd=0.0, mode=AEB, prev_err=0.0)
+    trace = SimTrace(states=(), final=state, outcome="none", t_end=0.0, min_range=2.0,
+                     delta_v=None, distance_m=0.0)
+    rec = EventRecord(conflict=True, crash=False, delta_v=None)
+    assert (rec.conflict, rec.crash, trace.final.mode) == (True, False, AEB)
+    run = simulate(s, AvConfig())
+    for obj in (s, state, trace, rec, run, run.final, classify_events(run, AvConfig())):
+        for name in obj._fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+
+
 def test_distance_is_rectangle_rule_on_period_start_speeds():
     trace = simulate(mk(20.0, 0.01, 0.0), AvConfig(), record=True)
     sums = sum(st.v for st in trace.states[:-1])
@@ -300,6 +333,8 @@ def _bits(state):
                           v0=30.799999999999997, likelihood=1.0),
          cfg=AvConfig(a_acc_max=0.0, a_aeb=0.0, r_aeb=0.0,
                       ttc_aeb_schedule=((7.4, 1.34), (30.8, 2.94))))
+# No tick runs (round(0.04 / 0.1) == 0), and the cut-in starts in AEB.
+@example(s=mk(10.0, 0.25, 1.0), cfg=AvConfig(t_lc_max=0.04))
 def test_simulate_matches_step_chain_bit_for_bit(s, cfg):
     # float.hex, not ==: == takes -0.0 for 0.0, and the sign of a zero is
     # what a wrong tie rule in the inlined loop changes first.
