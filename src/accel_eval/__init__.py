@@ -6,11 +6,21 @@ conflict, crash and injury rates by importance sampling with tilts found
 through cross-entropy search.
 
 The modules are the API; the package root exports only ``load_config``
-and ``__version__``.
+and ``__version__``.  Importing the root loads no submodule and no
+numpy: ``load_config`` loads the config layer on first use (PEP 562),
+so that ``accel_eval.cli`` can set the BLAS thread count before numpy
+starts.
 """
 
 __version__ = "0.1.0"
 
-from .config import load_config
-
 __all__ = ["__version__", "load_config"]
+
+
+def __getattr__(name):
+    if name == "load_config":
+        from .config import load_config
+
+        globals()[name] = load_config
+        return load_config
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

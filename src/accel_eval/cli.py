@@ -13,6 +13,11 @@ import math
 import os
 import sys
 
+# numpy's OpenBLAS starts a worker thread at import that spins a core
+# before it sleeps.  No path here calls BLAS, so pin it to one thread
+# before anything below imports numpy; a count the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import yaml
 
 from .config import EVENTS, MODES, ConfigError, load_config

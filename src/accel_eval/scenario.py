@@ -144,7 +144,9 @@ def scenario_stream(seed: int, index: int, namespace: int = 0) -> np.random.Gene
         raise ValueError(f"index out of range: {index}")
     if namespace < 0 or namespace >= STREAM_INDICES:
         raise ValueError(f"namespace out of range: {namespace}")
-    counter = ((namespace << 32) | index) << 64
+    # Philox's counter is four 64-bit words, low word first; the block of
+    # (namespace, index) is the integer ((namespace << 32) | index) << 64.
+    counter = np.array((0, (namespace << 32) | index, 0, 0), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_philox_key_type()(seed), counter=counter))
 
 

@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -435,3 +439,51 @@ def test_fit_flags_default_to_the_fit_defaults(tmp_path, capsys):
     capsys.readouterr()
     fragment, _ = fit_naturalistic(str(data))
     assert out.read_text(encoding="utf-8") == yaml.safe_dump(fragment, sort_keys=False)
+
+
+def _fresh_python(code, **env):
+    """Run ``code`` in a new interpreter on this checkout's sources; its last line, as JSON."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="OpenBLAS pin is tested on Linux")
+def test_cli_pins_openblas_to_one_thread_unless_set():
+    # The CLI sets the count before numpy loads OpenBLAS, so no idle
+    # BLAS worker runs; a count from the environment is kept.
+    code = (
+        "import json, os, sys, accel_eval.cli\n"
+        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules, tasks]))"
+    )
+    value, numpy_loaded, tasks = _fresh_python(code)
+    assert value == "1" and numpy_loaded
+    if tasks is not None:
+        assert tasks == 1
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+def test_package_root_loads_nothing_heavy():
+    code = (
+        "import json, os, sys\n"
+        "before = dict(os.environ)\n"
+        "import accel_eval\n"
+        "state = ['numpy' in sys.modules, dict(os.environ) == before,\n"
+        "         sorted(m for m in sys.modules if m.startswith('accel_eval'))]\n"
+        "from accel_eval import load_config\n"
+        "from accel_eval.config import load_config as direct\n"
+        "try:\n"
+        "    accel_eval.no_such_name\n"
+        "    missing = None\n"
+        "except AttributeError as e:\n"
+        "    missing = str(e)\n"
+        "print(json.dumps(state + [load_config is direct, missing]))"
+    )
+    numpy_loaded, env_kept, loaded, same, missing = _fresh_python(code)
+    assert not numpy_loaded and env_kept
+    assert loaded == ["accel_eval"]
+    assert same
+    assert missing == "module 'accel_eval' has no attribute 'no_such_name'"

@@ -115,6 +115,28 @@ def test_scenario_stream_is_the_keyed_philox():
     assert b.random() == first
 
 
+def _plain(state):
+    """A bit generator's state with its arrays as (dtype, values), comparable with ``==``."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    if isinstance(state, np.ndarray):
+        return (state.dtype.str, state.tolist())
+    return state
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, (1 << 64) - 1) | st.integers(0, (1 << 64) - 1).map(np.uint64),
+       index=st.integers(0, (1 << 32) - 1),
+       ns=st.integers(0, (1 << 32) - 1))
+def test_scenario_stream_counter_words_are_the_integer_counter(seed, index, ns):
+    # The four counter words are the ones numpy splits the integer
+    # counter into: the whole state and the uniforms agree bit for bit.
+    keyed = np.random.Philox(key=int(seed), counter=((ns << 32) | index) << 64)
+    got = scenario_stream(seed, index, ns)
+    assert _plain(got.bit_generator.state) == _plain(keyed.state)
+    assert got.random(9).tobytes() == np.random.Generator(keyed).random(9).tobytes()
+
+
 def test_lambda_ttc_interpolation_and_floor():
     m = make_model()
     assert m.lambda_ttc(5.0) == 0.12
