@@ -8,8 +8,6 @@ configuration, data or usage errors.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 
@@ -22,9 +20,9 @@ import yaml
 
 from .config import EVENTS, MODES, ConfigError, load_config
 from .cross_entropy import CeZeroHitError
-from .ingest import fit_naturalistic, render_fit_summary
+from .ingest import build_model_section, load_events_csv, render_fit_summary
 from .runner import (
-    check_report,
+    read_report,
     run_experiment,
     run_search,
     search_to_dict,
@@ -143,35 +141,21 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fit":
             bin_settings = {k: v for k, v in vars(args).items()
                             if k not in ("command", "data", "out")}
-            fragment, summary = fit_naturalistic(args.data, **bin_settings)
+            section, summary = build_model_section(load_events_csv(args.data), **bin_settings)
             with open(args.out, "w", encoding="utf-8") as fh:
-                yaml.safe_dump(fragment, fh, sort_keys=False)
+                yaml.safe_dump({"model": section}, fh, sort_keys=False)
             sys.stdout.write(render_fit_summary(summary))
             print(f"wrote {args.out} (add a seed to use it as a run config)")
             return 0
         if args.command == "report":
-            path = os.path.join(args.result_dir, "report.json")
-
-            def reject(token):
-                # Reports are strict JSON; a NaN, or a number such as 1e400
-                # that reads as infinity, would fail only when rewritten.
-                raise ValueError(f"{path} is not a run report: it holds {token}")
-
-            def finite(token):
-                x = float(token)
-                return x if math.isfinite(x) else reject(token)
-
-            with open(path, "r", encoding="utf-8") as fh:
-                d = json.load(fh, parse_constant=reject, parse_float=finite)
-            check_report(d, path)
-            write_outputs(d, args.out)
+            write_outputs(read_report(os.path.join(args.result_dir, "report.json")), args.out)
             print(f"wrote {os.path.join(args.out, 'summary.txt')}")
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")
     except CeZeroHitError as e:
         print(f"cross-entropy search aborted: {e}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,6 @@ __all__ = [
     "CeIterate",
     "CeState",
     "weighted_tilt_update",
-    "ce_update",
     "ce_search",
 ]
 
@@ -74,21 +73,6 @@ def weighted_tilt_update(x, lam, weights, lam_cap: float, margin: float = 0.01) 
     return min(vartheta, (1.0 - margin) * lam_cap)
 
 
-def ce_update(
-    r_inv,
-    ttc_inv,
-    lam_ttc,
-    weights,
-    lambda_r: float,
-    lambda_ttc_cap: float,
-    margin: float = 0.01,
-) -> tuple[float, float]:
-    """One cross-entropy update for both tilts from a weighted batch."""
-    vr = weighted_tilt_update(r_inv, lambda_r, weights, lambda_r, margin)
-    vt = weighted_tilt_update(ttc_inv, lam_ttc, weights, lambda_ttc_cap, margin)
-    return vr, vt
-
-
 def ce_search(
     model: ScenarioModel,
     plant_cfg: AvConfig,
@@ -129,7 +113,7 @@ def ce_search(
         hits = 0
         for i in range((it - 1) * n_per_iter, it * n_per_iter):
             s = sample(b, scenario_stream(seed, i, ns), params)
-            hit = getattr(classify_events(simulate(s, plant_cfg), plant_cfg), event)
+            hit = getattr(classify_events(simulate(s, plant_cfg)), event)
             r_inv.append(s.r_inv)
             ttc_inv.append(s.ttc_inv)
             lam_ttc.append(s.lambda_ttc)
@@ -147,8 +131,11 @@ def ce_search(
                 )
         else:
             zero_run = 0
-            vr, vt = ce_update(r_inv, ttc_inv, lam_ttc, w, lam_r, lam_cap, margin)
-            params = ProposalParams(vr, vt, bin_name)
+            params = ProposalParams(
+                weighted_tilt_update(r_inv, lam_r, w, lam_r, margin),
+                weighted_tilt_update(ttc_inv, lam_ttc, w, lam_cap, margin),
+                bin_name,
+            )
             model.validate_proposal(params)
         history.append(
             CeIterate(it, params.vartheta_r, params.vartheta_ttc, hits, n_per_iter)

@@ -23,7 +23,6 @@ __all__ = [
     "apply_filters",
     "build_model_section",
     "render_fit_summary",
-    "fit_naturalistic",
 ]
 
 MAX_V_INTERVALS = 1000  # most intervals a speed bin width may split V_RANGE into
@@ -179,10 +178,3 @@ def render_fit_summary(s: IngestSummary) -> str:
         + ", ".join(f"{v:g} m/s -> {lam:.6g}" for v, lam in s.ttc_table),
     ]
     return "\n".join(lines) + "\n"
-
-
-def fit_naturalistic(csv_path: str, **bin_settings) -> tuple[dict, IngestSummary]:
-    """CSV in, ready-to-merge ``{"model": ...}`` config fragment out;
-    ``bin_settings`` go to :func:`build_model_section` unchanged."""
-    section, summary = build_model_section(load_events_csv(csv_path), **bin_settings)
-    return {"model": section}, summary

@@ -340,8 +340,6 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
     return SimTrace(tuple(states), final, outcome, t, min_range, delta_v, sum_v * ts)
 
 
-def classify_events(trace: SimTrace, cfg: AvConfig) -> EventRecord:
-    """Conflict and crash flags recomputed from the trace geometry."""
-    crash = trace.final.r <= 0.0
-    conflict = trace.min_range < cfg.r_conflict
-    return EventRecord(conflict, crash, trace.delta_v)
+def classify_events(trace: SimTrace) -> EventRecord:
+    """Event flags of the outcome :func:`simulate` decided; a crash is also a conflict."""
+    return EventRecord(trace.outcome != "none", trace.outcome == "crash", trace.delta_v)

@@ -1,4 +1,4 @@
-"""End-to-end experiment orchestration and report writing.
+"""End-to-end experiment orchestration, and writing and reading reports.
 
 The estimation loop draws scenarios in fixed-size batches, each scenario
 on its own counter-based stream.  Batches run one after another in one
@@ -43,7 +43,7 @@ __all__ = [
     "write_outputs",
     "write_search_outputs",
     "render_summary",
-    "check_report",
+    "read_report",
 ]
 
 _MAX_TRACE_FILES = 20  # per (event, bin, mode) combination when tracing is on
@@ -108,7 +108,7 @@ def _warm_params(cfg: ExperimentConfig, event: str, bin_name: str) -> ProposalPa
 
 def _indicator(cfg: ExperimentConfig, event: str, trace) -> float:
     # Each event is the EventRecord flag of its name; injury weighs a crash by severity.
-    rec = classify_events(trace, cfg.plant)
+    rec = classify_events(trace)
     if event == "injury":
         return injury_probability(rec.delta_v, cfg.injury)
     return 1.0 if getattr(rec, event) else 0.0
@@ -248,7 +248,6 @@ def run_experiment(
                     if params is None:
                         st = ce_results.get(f"{_ce_event_for(event)}/{bin_name}")
                         params = ProposalParams(0.0, 0.0, bin_name) if st is None else st.params
-                    cfg.model.validate_proposal(params)
                 acc, conv, ok, logs = _estimate_combo(
                     cfg, event, bin_name, mode, params, verbose_traces
                 )
@@ -393,7 +392,26 @@ def render_summary(d: dict) -> str:
     return "\n".join(lines)
 
 
-def check_report(d, source: str) -> None:
+def read_report(path: str) -> dict:
+    """Load a stored report.json: strict JSON of the shape :func:`_check_report`
+    asks for, else ValueError naming ``path``."""
+
+    def reject(token):
+        # Reports are strict JSON; a NaN, or a number such as 1e400
+        # that reads as infinity, would fail only when rewritten.
+        raise ValueError(f"{path} is not a run report: it holds {token}")
+
+    def finite(token):
+        x = float(token)
+        return x if math.isfinite(x) else reject(token)
+
+    with open(path, "r", encoding="utf-8") as fh:
+        d = json.load(fh, parse_constant=reject, parse_float=finite)
+    _check_report(d, path)
+    return d
+
+
+def _check_report(d, source: str) -> None:
     """Raise ValueError, naming ``source`` and the key path, unless ``d`` has
     the shape that :func:`render_summary` and :func:`write_outputs` read, so
     that a malformed stored report fails before any file is written."""

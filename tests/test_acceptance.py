@@ -255,7 +255,7 @@ def test_a7_injury_probability_and_ordering(default_cfg):
     for i in range(500):
         s = model.sample_scenario(b, scenario_stream(3, i, ns), params)
         trace = simulate(s, plant)
-        rec = classify_events(trace, plant)
+        rec = classify_events(trace)
         w_crash = (1.0 if rec.crash else 0.0) * s.likelihood
         w_inj = injury_probability(rec.delta_v, m) * s.likelihood
         samplewise &= w_inj <= w_crash

@@ -430,15 +430,15 @@ def test_reports_are_strict_json_with_an_unbounded_range_law(tmp_path, capsys):
 
 
 def test_fit_flags_default_to_the_fit_defaults(tmp_path, capsys):
-    from accel_eval.ingest import fit_naturalistic
+    from accel_eval.ingest import build_model_section, load_events_csv
 
     data = tmp_path / "events.csv"
     _write_csv(data, _synthetic_rows(300, seed=41))
     out = tmp_path / "m.yaml"
     assert main(["fit", str(data), "--out", str(out)]) == 0
     capsys.readouterr()
-    fragment, _ = fit_naturalistic(str(data))
-    assert out.read_text(encoding="utf-8") == yaml.safe_dump(fragment, sort_keys=False)
+    section, _ = build_model_section(load_events_csv(str(data)))
+    assert out.read_text(encoding="utf-8") == yaml.safe_dump({"model": section}, sort_keys=False)
 
 
 def _fresh_python(code, **env):

@@ -6,7 +6,6 @@ import pytest
 from accel_eval.cross_entropy import (
     CeZeroHitError,
     ce_search,
-    ce_update,
     weighted_tilt_update,
 )
 from accel_eval.distributions import TruncatedPareto
@@ -46,17 +45,6 @@ def test_update_rejects_bad_weights():
         weighted_tilt_update([0.1, 0.2], 0.1, [1.0, -0.5], lam_cap=1.0)
     with pytest.raises(ValueError):
         weighted_tilt_update([0.1, 0.2], 0.1, [0.0, 0.0], lam_cap=1.0)
-
-
-def test_ce_update_matches_componentwise_updates():
-    rng = np.random.Generator(np.random.PCG64(3))
-    r = rng.exponential(0.02, 50)
-    t = rng.exponential(0.08, 50)
-    lam_t = rng.uniform(0.04, 0.12, 50)
-    w = rng.uniform(0.0, 2.0, 50)
-    vr, vt = ce_update(r, t, lam_t, w, lambda_r=0.0206, lambda_ttc_cap=0.04)
-    assert vr == weighted_tilt_update(r, 0.0206, w, 0.0206)
-    assert vt == weighted_tilt_update(t, lam_t, w, 0.04)
 
 
 def test_analytic_exponential_tail_update_converges():
@@ -148,7 +136,7 @@ def test_search_tilt_shrinks_interval_half_width():
         ns = stream_namespace(f"test/halfwidth/{tag}")
         for i in range(2000):
             s = model.sample_scenario(b, scenario_stream(11, i, ns), params)
-            rec = classify_events(simulate(s, cfg), cfg)
+            rec = classify_events(simulate(s, cfg))
             acc.update(1.0 if rec.conflict else 0.0, s.likelihood)
         widths[tag] = relative_half_width(acc, spec)
     assert widths["identity"] is not None and widths["tilted"] is not None

@@ -8,7 +8,6 @@ from accel_eval.distributions import TruncatedPareto
 from accel_eval.ingest import (
     apply_filters,
     build_model_section,
-    fit_naturalistic,
     load_events_csv,
     render_fit_summary,
 )
@@ -95,8 +94,7 @@ def test_apply_filters_counts_each_rule():
 def test_synthetic_round_trip_recovers_model(tmp_path):
     p = tmp_path / "events.csv"
     _write_csv(p, _synthetic_rows(4000, seed=17))
-    fragment, summary = fit_naturalistic(str(p))
-    section = fragment["model"]
+    section, summary = build_model_section(load_events_csv(str(p)))
 
     assert summary.n_total == 4000
     assert summary.n_kept > 3900  # envelope filters only clip the edges
@@ -110,7 +108,7 @@ def test_synthetic_round_trip_recovers_model(tmp_path):
         assert lam == pytest.approx(_lam(v_mid), rel=0.2)
     assert sum(section["velocity"]["bin_mass"]) == pytest.approx(1.0, abs=1e-12)
 
-    # The emitted fragment is a valid config section as-is.
+    # The fitted section is a valid config `model` section as-is.
     cfg = parse_config({"seed": 3, "model": section})
     assert cfg.model.r_inv_dist.k == inv["k"]
     assert cfg.model.lambda_ttc(1000.0) == 0.01  # extrapolation hits the floor
@@ -164,7 +162,7 @@ def test_bin_settings_are_validated(kwargs, match):
 def test_render_fit_summary_reports_fits(tmp_path):
     p = tmp_path / "events.csv"
     _write_csv(p, _synthetic_rows(800, seed=23))
-    _, summary = fit_naturalistic(str(p))
+    _, summary = build_model_section(load_events_csv(str(p)))
     text = render_fit_summary(summary)
     assert f"{summary.n_total} total, {summary.n_kept} kept" in text
     assert "not_closing=" in text

@@ -167,14 +167,14 @@ def test_disabled_controllers_crash_closed_form():
     assert abs(trace.t_end - 2.0) <= OFF.ts
     assert trace.delta_v == 2.0
     assert trace.distance_m == 24.0  # 20 periods at 12 m/s
-    rec = classify_events(trace, OFF)
+    rec = classify_events(trace)
     assert rec.crash and rec.conflict and rec.delta_v == 2.0
 
 
 def test_crash_implies_conflict():
     trace = simulate(mk(10.0, 0.5, 5.0), AvConfig())
     assert trace.outcome == "crash"
-    rec = classify_events(trace, AvConfig())
+    rec = classify_events(trace)
     assert rec.conflict
     assert rec.delta_v is not None and rec.delta_v > 0.0
 
@@ -265,7 +265,7 @@ def test_records_are_immutable():
     rec = EventRecord(conflict=True, crash=False, delta_v=None)
     assert (rec.conflict, rec.crash, trace.final.mode) == (True, False, AEB)
     run = simulate(s, AvConfig())
-    for obj in (s, state, trace, rec, run, run.final, classify_events(run, AvConfig())):
+    for obj in (s, state, trace, rec, run, run.final, classify_events(run)):
         for name in obj._fields:
             with pytest.raises(AttributeError):
                 setattr(obj, name, getattr(obj, name))
@@ -335,6 +335,9 @@ def _bits(state):
                       ttc_aeb_schedule=((7.4, 1.34), (30.8, 2.94))))
 # No tick runs (round(0.04 / 0.1) == 0), and the cut-in starts in AEB.
 @example(s=mk(10.0, 0.25, 1.0), cfg=AvConfig(t_lc_max=0.04))
+# Five steps of exactly 1 m end the crash at r == 0.0, which with no
+# conflict radius is a crash that is still a conflict.
+@example(s=mk(10.0, 0.2, 2.0), cfg=dataclasses.replace(OFF, r_conflict=0.0))
 def test_simulate_matches_step_chain_bit_for_bit(s, cfg):
     # float.hex, not ==: == takes -0.0 for 0.0, and the sign of a zero is
     # what a wrong tie rule in the inlined loop changes first.
@@ -360,3 +363,6 @@ def test_simulate_matches_step_chain_bit_for_bit(s, cfg):
             assert trace.delta_v.hex() == (ref[-2].v - s.v_l).hex()
         else:
             assert trace.delta_v is None
+        assert classify_events(trace) == (
+            crashed or min_range < cfg.r_conflict, crashed, trace.delta_v
+        )

@@ -157,24 +157,6 @@ def test_search_deduplicates_injury_and_crash():
     assert len(d["ce"]["crash/low"]["history"]) == 2
 
 
-def test_worker_count_does_not_change_results(tmp_path):
-    reports = {}
-    for w in (1, 3):
-        cfg = parse_config({**FAST, "workers": w})
-        rep = run_experiment(cfg)
-        out = tmp_path / f"w{w}"
-        write_outputs(rep.to_dict(), str(out), report=rep)
-        reports[w] = (rep.to_dict(), out)
-    d1, out1 = reports[1]
-    d3, out3 = reports[3]
-    assert d1 == d3
-    files1 = sorted(p.name for p in out1.iterdir())
-    files3 = sorted(p.name for p in out3.iterdir())
-    assert files1 == files3
-    for name in files1:
-        assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
-
-
 def test_outputs_are_reproducible_and_round_trip(tmp_path):
     # Two bins whose run order is not their sorted order, as report.json
     # stores them, so the re-rendered tilt lines must follow the rows.
