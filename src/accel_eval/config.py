@@ -89,7 +89,6 @@ def default_config_dict() -> dict[str, Any]:
                 "lo": _R_INV_LO,
                 "hi": _R_INV_HI,
             },
-            "exp_approx_mean": None,
             "ttc_lambda": {
                 "table": [
                     [5.0, 0.12],
@@ -277,14 +276,12 @@ def _build_model(section: dict, path: str) -> ScenarioModel:
             bins.append(
                 VelocityBin(str(b["name"]), _number(b["lo"], bpath), _number(b["hi"], bpath))
             )
-    exp_mean = section["exp_approx_mean"]
     with _prefixed(path):
         return ScenarioModel(
             v_dist=v_dist,
             r_inv_dist=r_inv_dist,
             ttc_lambda_table=_pairs(ttc["table"], f"{path}.ttc_lambda.table"),
             bins=bins,
-            r_inv_exp_mean=None if exp_mean is None else _number(exp_mean, f"{path}.exp_approx_mean"),
             lambda_floor=_number(ttc["floor"], f"{path}.ttc_lambda.floor"),
         )
 
@@ -300,6 +297,7 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"seed: must lie in [0, 2^64), got {seed}")
 
     model = _build_model(_require_map(resolved["model"], "model"), "model")
+    # Computed, never set; recorded so that the hashed settings hold it.
     resolved["model"]["exp_approx_mean"] = model.r_inv_exp_mean
     if model.r_inv_dist.hi == math.inf:
         # Reports are strict JSON, which has no infinity: record an

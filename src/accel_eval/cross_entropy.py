@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 CE_EVENTS = ("conflict", "crash")
+_MARGIN = 0.01  # clamped tilts stay this fraction of their cap inside it
+_MAX_ZERO_ITERS = 3  # consecutive iterations without hits before a search aborts
 
 
 class CeZeroHitError(RuntimeError):
@@ -55,12 +57,12 @@ class CeState:
     lambda_ttc_cap: float
 
 
-def weighted_tilt_update(x, lam, weights, lam_cap: float, margin: float = 0.01) -> float:
+def weighted_tilt_update(x, lam, weights, lam_cap: float) -> float:
     """Closed-form tilt update: weighted mean of (lam - x), clamped below lam_cap.
 
     ``lam`` may be a scalar or a per-sample array (the inverse-TTC mean
     depends on each sample's lead speed).  The clamp keeps a safety
-    margin of ``margin * lam_cap`` inside the validity region.
+    margin of ``_MARGIN * lam_cap`` inside the validity region.
     """
     x = np.asarray(x, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -70,7 +72,7 @@ def weighted_tilt_update(x, lam, weights, lam_cap: float, margin: float = 0.01) 
     if not total > 0:
         raise ValueError("all weights are zero; no information to update the tilt")
     vartheta = float(np.sum(w * (lam - x)) / total)
-    return min(vartheta, (1.0 - margin) * lam_cap)
+    return min(vartheta, (1.0 - _MARGIN) * lam_cap)
 
 
 def ce_search(
@@ -81,13 +83,11 @@ def ce_search(
     n_per_iter: int,
     iterations: int,
     seed: int,
-    margin: float = 0.01,
-    max_zero_iters: int = 3,
 ) -> CeState:
     """Iterate the closed-form update on simulated batches.
 
     An iteration without hits leaves the proposal unchanged; after
-    ``max_zero_iters`` consecutive empty iterations the search aborts
+    ``_MAX_ZERO_ITERS`` consecutive empty iterations the search aborts
     with :class:`CeZeroHitError` rather than keep burning samples on an
     unreachable event.
     """
@@ -121,9 +121,9 @@ def ce_search(
             hits += hit
         if hits == 0:
             zero_run += 1
-            if zero_run >= max_zero_iters:
+            if zero_run >= _MAX_ZERO_ITERS:
                 raise CeZeroHitError(
-                    f"{event}/{bin_name}: no hits in {max_zero_iters} consecutive "
+                    f"{event}/{bin_name}: no hits in {_MAX_ZERO_ITERS} consecutive "
                     f"iterations of {n_per_iter} samples (stopped at iteration {it} "
                     f"with tilts vartheta_r={params.vartheta_r}, "
                     f"vartheta_ttc={params.vartheta_ttc}); the event may be "
@@ -132,8 +132,8 @@ def ce_search(
         else:
             zero_run = 0
             params = ProposalParams(
-                weighted_tilt_update(r_inv, lam_r, w, lam_r, margin),
-                weighted_tilt_update(ttc_inv, lam_ttc, w, lam_cap, margin),
+                weighted_tilt_update(r_inv, lam_r, w, lam_r),
+                weighted_tilt_update(ttc_inv, lam_ttc, w, lam_cap),
                 bin_name,
             )
             model.validate_proposal(params)

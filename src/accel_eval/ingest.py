@@ -142,7 +142,6 @@ def build_model_section(
             "lo": r_inv_lo,
             "hi": r_inv_hi,
         },
-        "exp_approx_mean": defaults["exp_approx_mean"],
         "ttc_lambda": {
             "table": [[float(v), float(lam)] for v, lam in table],
             "floor": defaults["ttc_lambda"]["floor"],

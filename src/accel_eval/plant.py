@@ -39,6 +39,7 @@ ACC = "acc"
 AEB = "aeb"
 
 _V_HEADWAY_EPS = 1e-6  # m/s, keeps time headway finite at standstill
+_MAX_TICKS = 100_000  # control periods per event
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,6 @@ class AvConfig:
         (40.0, 1.5),
     )
     r_conflict: float = 9.144  # m, proximity threshold (30 ft)
-    error_sign: float = -1.0  # +1 uses raw headway error; -1 flips it
 
     def __post_init__(self):
         for f in fields(self):
@@ -76,10 +76,15 @@ class AvConfig:
                 raise ValueError(f"{f.name} must be finite, got {x}")
         if not self.ts > 0:
             raise ValueError(f"ts must be > 0, got {self.ts}")
-        if not self.tau_av > 0:
-            raise ValueError(f"tau_av must be > 0, got {self.tau_av}")
-        if not self.t_lc_max > 0:
-            raise ValueError(f"t_lc_max must be > 0, got {self.t_lc_max}")
+        # The explicit lag update scales the gap to the command by
+        # 1 - ts/tau_av each period; at ts >= 2*tau_av that is <= -1: no decay.
+        if not self.ts < 2 * self.tau_av:
+            raise ValueError(f"ts must be < 2 * tau_av, got ts={self.ts}, tau_av={self.tau_av}")
+        # The horizon runs at least one period, and at most _MAX_TICKS:
+        # _loop_constants builds one tick time per period.
+        if not 0.5 < self.t_lc_max / self.ts <= _MAX_TICKS:
+            raise ValueError(f"t_lc_max / ts must lie in (0.5, {_MAX_TICKS}], "
+                             f"got {self.t_lc_max} / {self.ts}")
         if not self.a_acc_max >= 0:
             raise ValueError(f"a_acc_max must be >= 0, got {self.a_acc_max}")
         if not self.a_aeb >= 0:
@@ -88,8 +93,6 @@ class AvConfig:
             raise ValueError(f"r_aeb must be <= 0, got {self.r_aeb}")
         if not self.r_conflict >= 0:
             raise ValueError(f"r_conflict must be >= 0, got {self.r_conflict}")
-        if self.error_sign not in (-1.0, 1.0):
-            raise ValueError(f"error_sign must be -1 or +1, got {self.error_sign}")
         if not self.ttc_aeb_schedule:
             raise ValueError("ttc_aeb_schedule must not be empty")
         if not all(math.isfinite(v) and math.isfinite(t) for v, t in self.ttc_aeb_schedule):
@@ -124,7 +127,7 @@ class AvConfig:
             ticks.append(t)
         return (
             ts, ts / self.tau_av, self.a_acc_max, -self.a_acc_max, -self.a_aeb,
-            self.r_aeb * ts, self.kp_acc, self.ki_acc, self.error_sign, self.t_hw_desired,
+            self.r_aeb * ts, self.kp_acc, self.ki_acc, self.t_hw_desired,
             sched[0], sched[-1],
             tuple((v0, t0, v1, t1 - t0, v1 - v0) for (v0, t0), (v1, t1) in zip(sched, sched[1:])),
             thr_max + 8 * math.ulp(thr_max), tuple(ticks),
@@ -172,7 +175,9 @@ def acc_command(t_hw: float, prev_err: float, a_cmd: float, cfg: AvConfig) -> tu
 
     Returns (saturated command, new error).
     """
-    err = cfg.error_sign * (t_hw - cfg.t_hw_desired)
+    # Negated, not ``t_hw_desired - t_hw``: the two differ in the sign of a
+    # zero error, and traces print that sign.
+    err = -(t_hw - cfg.t_hw_desired)
     a_d = (
         a_cmd
         + cfg.kp_acc * (err - prev_err)
@@ -261,31 +266,24 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
 
     The initial mode is AEB when the TTC at cut-in is below the threshold
     at ``v0`` (:func:`_initial_state`).  The first tick's latch makes that
-    same test on the same ``(r0, v0)``, so the loop starts in ACC and
-    builds no initial state; only ``record`` and a horizon shorter than
-    half a control period, which runs no tick and ends in the initial
-    state, build it.
+    same test on the same ``(r0, v0)``, and the horizon holds at least one
+    tick, so the loop starts in ACC and only ``record`` builds the initial
+    state.
 
     Tests hold it to :func:`step` bit for bit.  With ``record`` the trace
     also holds the state at every tick, the initial one included.
     """
     v_l = scenario.v_l
-    (ts, lag, a_hi, a_lo, a_floor, ramp, kp, ki, sign, t_hw_desired,
+    (ts, lag, a_hi, a_lo, a_floor, ramp, kp, ki, t_hw_desired,
      (v_first, thr_first), (v_last, thr_last), segments, thr_cap, ticks) = cfg._loop_constants
 
     eps = _V_HEADWAY_EPS
-    states = []
-    t = 0.0
+    states = [_initial_state(scenario, cfg)] if record else []
     r = scenario.r0
     v = scenario.v0
     a = 0.0
     a_cmd = 0.0
     aeb = False
-    if record or not ticks:
-        first = _initial_state(scenario, cfg)
-        aeb = first.mode == AEB
-        if record:
-            states.append(first)
     prev_err = 0.0
     min_range = r
     sum_v = 0.0
@@ -310,7 +308,7 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
             a_cmd = a_d if a_d > a_floor else a_floor
         else:
             t_hw = r / (eps if eps > v else v)
-            err = sign * (t_hw - t_hw_desired)
+            err = -(t_hw - t_hw_desired)
             a_d = a_cmd + kp * (err - prev_err) + ki * (err + prev_err) * ts / 2.0
             a_d = a_d if a_d > a_lo else a_lo
             a_cmd = a_d if a_d < a_hi else a_hi

@@ -165,13 +165,10 @@ class ScenarioModel:
         floored at ``lambda_floor``.
     bins : sequence of VelocityBin
         Contiguous non-overlapping partition of the studied speed range.
-    r_inv_exp_mean : float, optional
-        Mean of the exponential surrogate for the inverse-range law.  If
-        given it must match the least-squares recomputation to 1e-9;
-        when omitted it is computed here.
 
-    The untilted surrogate itself, a :class:`TruncatedExponential` on the
-    inverse-range support, is built once and kept as ``r_inv_surrogate``;
+    The least-squares exponential surrogate of the inverse-range law, a
+    :class:`TruncatedExponential` on its support with mean
+    ``r_inv_exp_mean``, is built here and kept as ``r_inv_surrogate``;
     importance-sampling proposals tilt it.
     """
 
@@ -181,8 +178,7 @@ class ScenarioModel:
         r_inv_dist: TruncatedPareto,
         ttc_lambda_table,
         bins,
-        r_inv_exp_mean: float | None = None,
-        lambda_floor: float = 0.01,
+        lambda_floor: float,
     ):
         self.v_dist = v_dist
         self.r_inv_dist = r_inv_dist
@@ -212,14 +208,8 @@ class ScenarioModel:
                     f"{b.name!r} starts at {b.lo}"
                 )
 
-        recomputed = lsq_exponential_of_pareto(r_inv_dist)
-        if r_inv_exp_mean is not None and abs(r_inv_exp_mean - recomputed) > 1e-9:
-            raise ValueError(
-                f"r_inv_exp_mean {r_inv_exp_mean} does not match the least-squares "
-                f"recomputation {recomputed}"
-            )
-        self.r_inv_exp_mean = recomputed
-        self.r_inv_surrogate = TruncatedExponential(recomputed, r_inv_dist.lo, r_inv_dist.hi)
+        self.r_inv_exp_mean = mean = lsq_exponential_of_pareto(r_inv_dist)
+        self.r_inv_surrogate = TruncatedExponential(mean, r_inv_dist.lo, r_inv_dist.hi)
 
     def lambda_ttc(self, v_l: float) -> float:
         """Inverse-TTC mean at lead speed ``v_l`` (interpolated, floored)."""

@@ -107,6 +107,11 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", out]) == 1
     assert "not valid YAML" in capsys.readouterr().err
 
+    # A control period so short that the horizon's tick count overflows.
+    tiny_ts = _config_file(tmp_path, {"seed": 1, "plant": {"ts": 5.0e-324}}, "tiny.yaml")
+    assert main(["run", "--config", tiny_ts, "--out", out]) == 1
+    assert "plant" in capsys.readouterr().err
+
 
 def test_failed_surrogate_fit_exits_1(tmp_path, capsys):
     # A near-uniform inverse-range law has no interior least-squares

@@ -16,10 +16,6 @@ from accel_eval.scenario import ProposalParams
 # Least-squares exponential mean of the default inverse-range law; also
 # frozen in test_distributions.py.
 DEFAULT_SURROGATE_MEAN = 0.020602125081171926
-# The same mean from earlier fits (adaptive quadrature, then a Brent
-# polish of the fixed rule); configs that recorded them must still parse,
-# since they agree within 1e-9.
-EARLIER_SURROGATE_MEANS = (0.020602124910224576, 0.02060212488138134)
 
 
 def test_minimal_config_fills_defaults():
@@ -63,6 +59,12 @@ def test_unknown_keys_report_their_full_path():
         parse_config({"seed": 1, "plant": {"bogus": 1.0}})
     with pytest.raises(ConfigError, match=r"model\.inverse_range\.kk"):
         parse_config({"seed": 1, "model": {"inverse_range": {"kk": 0.5}}})
+    # The surrogate mean is computed and the headway error's sign is fixed:
+    # neither is an input.
+    with pytest.raises(ConfigError, match=r"model\.exp_approx_mean: unknown key"):
+        parse_config({"seed": 1, "model": {"exp_approx_mean": DEFAULT_SURROGATE_MEAN}})
+    with pytest.raises(ConfigError, match=r"plant\.error_sign: unknown key"):
+        parse_config({"seed": 1, "plant": {"error_sign": -1.0}})
     for b in ({"name": "a", "lo": 2.0}, {"name": "a", "lo": 2.0, "hi": 40.0, "x": 1}):
         with pytest.raises(ConfigError, match=r"^model\.velocity_bins\[0\]: expected the keys"):
             parse_config({"seed": 1, "model": {"velocity_bins": [b]}})
@@ -197,16 +199,6 @@ def test_component_errors_carry_section_prefix():
         parse_config({"seed": 1, "model": {"inverse_range": {"sigma": -1.0}}})
 
 
-def test_exp_approx_mean_checked_against_recomputation():
-    cfg = parse_config({"seed": 1, "model": {"exp_approx_mean": DEFAULT_SURROGATE_MEAN}})
-    assert cfg.model.r_inv_exp_mean == DEFAULT_SURROGATE_MEAN
-    for earlier in EARLIER_SURROGATE_MEANS:
-        cfg = parse_config({"seed": 1, "model": {"exp_approx_mean": earlier}})
-        assert cfg.model.r_inv_exp_mean == DEFAULT_SURROGATE_MEAN
-    with pytest.raises(ConfigError, match="model"):
-        parse_config({"seed": 1, "model": {"exp_approx_mean": 0.5}})
-
-
 def test_load_config_yaml_and_overrides(tmp_path):
     p = tmp_path / "exp.yaml"
     p.write_text("events: [conflict, crash]\nplant:\n  ts: 0.05\n", encoding="utf-8")
@@ -297,7 +289,7 @@ INF, NAN = float("inf"), float("nan")
         ({"model": {"inverse_range": {"hi": NAN}}}, r"model\.inverse_range\.hi"),
         ({"model": {"inverse_range": {"hi": -INF}}}, r"model\.inverse_range\.hi"),
         ({"model": {"inverse_range": {"hi": -(10**400)}}}, r"model\.inverse_range\.hi"),
-        ({"model": {"exp_approx_mean": NAN}}, r"model\.exp_approx_mean"),
+        ({"plant": {"t_lc_max": INF}}, r"plant\.t_lc_max"),
         ({"model": {"ttc_lambda": {"floor": INF}}}, r"model\.ttc_lambda\.floor"),
         ({"model": {"ttc_lambda": {"table": [[5.0, NAN]]}}}, r"model\.ttc_lambda\.table"),
         ({"model": {"velocity": {"bin_edges": [2.0, INF]}}}, r"model\.velocity\.bin_edges"),

@@ -46,8 +46,14 @@ def test_config_validation():
         AvConfig(t_lc_max=-1.0)
     with pytest.raises(ValueError):
         AvConfig(r_aeb=1.0)
-    with pytest.raises(ValueError):
-        AvConfig(error_sign=0.5)
+    # At ts >= 2 * tau_av the explicit lag update diverges.
+    with pytest.raises(ValueError, match="tau_av"):
+        AvConfig(tau_av=0.05)
+    # A horizon must round to at least one control period and at most
+    # _MAX_TICKS; 5e-324 overflowed the tick count, 1e-9 asks for 8e9 ticks.
+    for bad in ({"t_lc_max": 0.04}, {"t_lc_max": 0.05}, {"ts": 5e-324}, {"ts": 1e-9}):
+        with pytest.raises(ValueError, match="t_lc_max / ts"):
+            AvConfig(**bad)
     with pytest.raises(ValueError):
         AvConfig(ttc_aeb_schedule=())
     with pytest.raises(ValueError):
@@ -287,7 +293,7 @@ def _zero_or(values):
 
 
 _av_configs = st.builds(
-    AvConfig,
+    dict,
     t_hw_desired=st.floats(0.5, 3.0),
     a_acc_max=st.just(0.0) | st.floats(0.0, 8.0),
     kp_acc=_zero_or(st.floats(-60.0, 10.0)),
@@ -296,14 +302,15 @@ _av_configs = st.builds(
     r_aeb=_zero_or(st.floats(-40.0, 0.0)),
     tau_av=st.floats(0.02, 1.0),
     ts=st.sampled_from([0.05, 0.1, 0.2]) | st.floats(0.02, 0.5),
-    t_lc_max=st.floats(0.5, 8.0),
+    t_lc_max=st.floats(0.02, 8.0),
     ttc_aeb_schedule=st.lists(
         st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 3.0)),
         min_size=1, max_size=4, unique_by=lambda p: p[0],
     ).map(lambda pts: tuple(sorted(pts))),
     r_conflict=st.floats(0.0, 20.0),
-    error_sign=st.sampled_from([-1.0, 1.0]),
-)
+).filter(
+    lambda d: d["ts"] < 2 * d["tau_av"] and 0.5 < d["t_lc_max"] / d["ts"]
+).map(lambda d: AvConfig(**d))
 
 _scenarios = st.builds(
     mk,
@@ -333,8 +340,8 @@ def _bits(state):
                           v0=30.799999999999997, likelihood=1.0),
          cfg=AvConfig(a_acc_max=0.0, a_aeb=0.0, r_aeb=0.0,
                       ttc_aeb_schedule=((7.4, 1.34), (30.8, 2.94))))
-# No tick runs (round(0.04 / 0.1) == 0), and the cut-in starts in AEB.
-@example(s=mk(10.0, 0.25, 1.0), cfg=AvConfig(t_lc_max=0.04))
+# One tick runs (round(0.06 / 0.1) == 1), and the cut-in starts in AEB.
+@example(s=mk(10.0, 0.25, 1.0), cfg=AvConfig(t_lc_max=0.06))
 # Five steps of exactly 1 m end the crash at r == 0.0, which with no
 # conflict radius is a crash that is still a conflict.
 @example(s=mk(10.0, 0.2, 2.0), cfg=dataclasses.replace(OFF, r_conflict=0.0))

@@ -41,6 +41,7 @@ def make_model(**kwargs):
             VelocityBin("medium", 15.0, 25.0),
             VelocityBin("high", 25.0, 40.0),
         ],
+        lambda_floor=0.01,
     )
     args.update(kwargs)
     return ScenarioModel(**args)
@@ -187,13 +188,6 @@ def test_model_validation():
         make_model(lambda_floor=0.0)
     with pytest.raises(KeyError):
         make_model().bin_named("nope")
-
-
-def test_declared_surrogate_mean_must_match():
-    m = make_model()
-    make_model(r_inv_exp_mean=m.r_inv_exp_mean)  # exact restatement is fine
-    with pytest.raises(ValueError):
-        make_model(r_inv_exp_mean=m.r_inv_exp_mean + 1e-6)
 
 
 def test_validate_proposal_bounds():
