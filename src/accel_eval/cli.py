@@ -59,19 +59,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_estimation(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument(
-        "--mode", action="append", choices=MODES, default=None,
-        help="restrict to an estimation mode (repeatable)",
-    )
-    p.add_argument("--n-cap", type=int, default=None, help="override the sample cap")
-    p.add_argument(
-        "--verbose-traces", action="store_true",
-        help="also write per-scenario logs and event traces",
-    )
-
-
 def _overrides(args: argparse.Namespace) -> dict:
     return {
         "seed": args.seed,
@@ -91,11 +78,17 @@ def _build_parser() -> _Parser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    _add_estimation(sub.add_parser("run", help="cross-entropy search plus estimation, end to end"))
-    _add_estimation(sub.add_parser(
-        "estimate",
-        help="estimation only; importance sampling uses warm-start tilts when given",
-    ))
+    runp = sub.add_parser("run", help="cross-entropy search (unless warm-started) plus estimation")
+    _add_common(runp)
+    runp.add_argument(
+        "--mode", action="append", choices=MODES, default=None,
+        help="restrict to an estimation mode (repeatable)",
+    )
+    runp.add_argument("--n-cap", type=int, default=None, help="override the sample cap")
+    runp.add_argument(
+        "--verbose-traces", action="store_true",
+        help="also write per-scenario logs and event traces",
+    )
     _add_common(sub.add_parser("search", help="cross-entropy tilt search only"))
 
     # Bin settings left out keep the defaults of ingest.build_model_section.
@@ -116,11 +109,12 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("run", "estimate"):
+        # Files of an earlier run would stay beside the new report, unlisted by it.
+        if args.command != "fit" and os.path.isdir(args.out) and os.listdir(args.out):
+            raise ValueError(f"--out {args.out} is not empty; give a new or empty directory")
+        if args.command == "run":
             cfg = load_config(args.config, _overrides(args))
-            report = run_experiment(
-                cfg, do_ce=(args.command == "run"), verbose_traces=args.verbose_traces
-            )
+            report = run_experiment(cfg, verbose_traces=args.verbose_traces)
             write_outputs(report.to_dict(), args.out, report=report)
             bad = [r for r in report.rows if not r.converged]
             for r in bad:

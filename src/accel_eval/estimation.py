@@ -4,7 +4,7 @@ The same accumulator serves crude Monte Carlo and importance sampling:
 each test contributes ``indicator * likelihood`` (likelihood 1 under the
 original law).  Sums are held as integers scaled by 2**-1074 (every
 finite float is such a dyadic rational), so accumulation and merging are
-exact: any partition of a sample stream across workers merges into
+exact: any partition of a sample stream across batches merges into
 bit-identical state, and merge is truly associative and commutative
 rather than associative up to rounding.
 """
@@ -46,22 +46,17 @@ def _from_fixed(v: int) -> float:
 class EstimatorAccumulator:
     """Streaming sums for the weighted-indicator estimator.
 
-    Sums live in exact fixed point (see module docstring); ``w_min`` /
-    ``w_max`` track the range of contributed values so a constant stream
-    (the zero-variance realization) reports exactly zero sample variance
-    instead of accumulation noise.
+    Sums live in exact fixed point (see module docstring): the values at
+    scale 2**-1074 and their squares, exact too, at scale 2**-2148.  The
+    sample variance is then formed from exact integers with one rounding,
+    so it is the correctly rounded variance of the stream, exactly zero
+    for a constant one.
     """
 
     n: int = 0
-    w_min: float = math.inf
-    w_max: float = -math.inf
     _sum_w: int = 0
     _sum_w2: int = 0
     _distance: int = 0
-
-    @property
-    def sum_w2(self) -> float:
-        return _from_fixed(self._sum_w2)
 
     @property
     def distance_m(self) -> float:
@@ -75,15 +70,12 @@ class EstimatorAccumulator:
             raise ValueError(f"likelihood must be finite and >= 0, got {likelihood}")
         if not math.isfinite(distance_m):
             raise ValueError(f"distance_m must be finite, got {distance_m}")
-        w = indicator * likelihood
+        p, q = (indicator * likelihood).as_integer_ratio()
+        shift = _FIXED_BITS - (q.bit_length() - 1)
         self.n += 1
-        self._sum_w += _to_fixed(w)
-        self._sum_w2 += _to_fixed(w * w)
+        self._sum_w += p << shift
+        self._sum_w2 += (p * p) << (2 * shift)
         self._distance += _to_fixed(distance_m)
-        if w < self.w_min:
-            self.w_min = w
-        if w > self.w_max:
-            self.w_max = w
 
     def mean(self) -> float:
         if self.n == 0:
@@ -91,21 +83,18 @@ class EstimatorAccumulator:
         return self._sum_w / (self.n << _FIXED_BITS)
 
     def sample_variance(self) -> float:
-        """Unbiased variance of the contributed values; 0 for a constant stream."""
-        if self.n < 2:
+        """Unbiased variance of the contributed values, correctly rounded."""
+        n, s1 = self.n, self._sum_w
+        if n < 2:
             raise ValueError("need at least 2 samples")
-        if self.w_min == self.w_max:
-            return 0.0
-        m = self.mean()
-        return max(0.0, (self.sum_w2 - self.n * m * m) / (self.n - 1))
+        # Exact numerator, >= 0 by Cauchy-Schwarz; int/int division rounds once.
+        return (n * self._sum_w2 - s1 * s1) / ((n * (n - 1)) << (2 * _FIXED_BITS))
 
 
 def merge(a: EstimatorAccumulator, b: EstimatorAccumulator) -> EstimatorAccumulator:
     """Combine two partial accumulators; exact, associative, commutative."""
     return EstimatorAccumulator(
         n=a.n + b.n,
-        w_min=min(a.w_min, b.w_min),
-        w_max=max(a.w_max, b.w_max),
         _sum_w=a._sum_w + b._sum_w,
         _sum_w2=a._sum_w2 + b._sum_w2,
         _distance=a._distance + b._distance,

@@ -225,13 +225,9 @@ def run_search(cfg: ExperimentConfig, skip_warm: bool = False) -> dict[str, CeSt
     return results
 
 
-def run_experiment(
-    cfg: ExperimentConfig, do_ce: bool = True, verbose_traces: bool = False
-) -> RunReport:
-    """Search (unless warm-started or disabled) then estimate every combination."""
-    ce_results: dict[str, CeState] = {}
-    if "is" in cfg.modes and do_ce:
-        ce_results = run_search(cfg, skip_warm=True)
+def run_experiment(cfg: ExperimentConfig, verbose_traces: bool = False) -> RunReport:
+    """Search (unless warm-started) then estimate every combination."""
+    ce_results = run_search(cfg, skip_warm=True) if "is" in cfg.modes else {}
 
     rows: list[EstimateRow] = []
     convergence: dict[str, list] = {}
@@ -246,8 +242,7 @@ def run_experiment(
                 if mode == "is":
                     params = _warm_params(cfg, event, bin_name)
                     if params is None:
-                        st = ce_results.get(f"{_ce_event_for(event)}/{bin_name}")
-                        params = ProposalParams(0.0, 0.0, bin_name) if st is None else st.params
+                        params = ce_results[f"{_ce_event_for(event)}/{bin_name}"].params
                 acc, conv, ok, logs = _estimate_combo(
                     cfg, event, bin_name, mode, params, verbose_traces
                 )

@@ -54,6 +54,20 @@ def test_run_succeeds_and_writes_outputs(tmp_path, capsys):
     assert report["rows"][0]["converged"] is True
 
 
+@pytest.mark.parametrize("command", ["run", "search", "report"])
+def test_non_empty_out_is_refused(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stale.csv").write_bytes(b"n,estimate\n")
+    args = [str(tmp_path)] if command == "report" else ["--config", _fast_config(tmp_path)]
+    assert main([command, *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {out} is not empty; give a new or empty directory\n"
+    )
+    assert [p.name for p in out.iterdir()] == ["stale.csv"]
+    assert (out / "stale.csv").read_bytes() == b"n,estimate\n"
+
+
 def test_run_returns_2_when_not_converged(tmp_path, capsys):
     cfg = _config_file(
         tmp_path,
@@ -64,11 +78,12 @@ def test_run_returns_2_when_not_converged(tmp_path, capsys):
             "modes": ["is"],
             "n_cap": 400,
             "stopping": {"check_every": 200, "min_samples": 100},
+            "warm_start": {"crash": {"high": {"vartheta_r": 0.0, "vartheta_ttc": 0.0}}},
         },
     )
     out = tmp_path / "out"
-    # estimate skips the search, so the identity proposal sees no crashes.
-    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
+    # Zero tilts skip the search, and the untilted proposal sees no crashes.
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "not converged" in err
     assert (out / "report.json").exists()  # results are still written
@@ -78,7 +93,7 @@ def test_selection_and_seed_overrides(tmp_path):
     cfg = _fast_config(tmp_path)
     out = tmp_path / "out"
     code = main(
-        ["estimate", "--config", cfg, "--out", str(out), "--seed", "77",
+        ["run", "--config", cfg, "--out", str(out), "--seed", "77",
          "--n-cap", "200", "--mode", "is", "--bin", "high"]
     )
     # Whether 200 samples converge is seed luck; the overrides are not.
@@ -143,6 +158,9 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", "x.yaml", "--n-cap", "lots"])
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--config", "x.yaml"])  # folded into run
+    assert exc.value.code == 1
     capsys.readouterr()
 
 
@@ -188,10 +206,10 @@ def test_search_abort_exits_2(tmp_path, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
-def test_estimate_with_warm_start_runs_no_search(tmp_path, capsys):
+def test_run_with_warm_start_runs_no_search(tmp_path, capsys):
     cfg = _fast_config(tmp_path)
     out = tmp_path / "out"
-    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["ce"] == {}
@@ -247,14 +265,14 @@ def test_fit_rejects_bad_bin_settings(tmp_path, capsys, flag, value):
 def test_report_rerenders_stored_results(tmp_path, capsys):
     cfg = _fast_config(tmp_path)
     first = tmp_path / "first"
-    assert main(["estimate", "--config", cfg, "--out", str(first)]) == 0
+    assert main(["run", "--config", cfg, "--out", str(first)]) == 0
     second = tmp_path / "second"
     assert main(["report", str(first), "--out", str(second)]) == 0
     capsys.readouterr()
     for name in ("summary.txt", "report.json"):
         assert (second / name).read_bytes() == (first / name).read_bytes()
 
-    assert main(["report", str(tmp_path / "void"), "--out", str(second)]) == 1
+    assert main(["report", str(tmp_path / "void"), "--out", str(tmp_path / "third")]) == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -302,7 +320,7 @@ def _without_row_key(key):
 def test_report_checks_values_before_writing(tmp_path, capsys, change, where):
     """``change`` is merged into the stored report, or edits its text when callable."""
     stored = tmp_path / "stored"
-    assert main(["estimate", "--config", _fast_config(tmp_path), "--out", str(stored)]) == 0
+    assert main(["run", "--config", _fast_config(tmp_path), "--out", str(stored)]) == 0
     path = stored / "report.json"
     text = path.read_text(encoding="utf-8")
     text = change(text) if callable(change) else json.dumps({**json.loads(text), **change})
@@ -351,7 +369,7 @@ def test_traces_are_the_drawn_scenarios(tmp_path, capsys):
         "warm_start": WARM_HIGH,
     }
     out = tmp_path / "out"
-    assert main(["estimate", "--config", _config_file(tmp_path, data), "--out", str(out),
+    assert main(["run", "--config", _config_file(tmp_path, data), "--out", str(out),
                  "--verbose-traces"]) in (0, 2)
     capsys.readouterr()
     cfg = parse_config(data)
@@ -420,10 +438,11 @@ def test_search_takes_selection_flags(tmp_path, capsys):
 
 def test_reports_are_strict_json_with_an_unbounded_range_law(tmp_path, capsys):
     cfg = _fast_config(
-        tmp_path, model={"inverse_range": {"hi": float("inf")}}, warm_start={}
+        tmp_path, model={"inverse_range": {"hi": float("inf")}},
+        warm_start={"conflict": {"high": {"vartheta_r": 0.0, "vartheta_ttc": 0.0}}},
     )
     out = tmp_path / "out"
-    assert main(["estimate", "--config", cfg, "--out", str(out)]) in (0, 2)
+    assert main(["run", "--config", cfg, "--out", str(out)]) in (0, 2)
     capsys.readouterr()
 
     def reject(token):

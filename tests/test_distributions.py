@@ -436,7 +436,7 @@ def test_lsq_surrogate_beats_nearby_means(k, sigma, hi):
 
 def test_run_path_loads_no_scipy(tmp_path):
     # scipy is a test dependency only: importing the CLI and parsing a
-    # config, which `run`, `estimate`, `search` and `report` do, and the
+    # config, which `run`, `search` and `report` do, and the
     # `fit` subcommand must all run without loading it.  Set-up (import
     # plus config) loads no numpy.random either; streams load it on first
     # use, which keeps the benchmark's `setup_s` and peak RSS down.

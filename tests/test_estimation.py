@@ -1,8 +1,11 @@
 """Accumulator algebra, stopping rule, injury model, rate accounting."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from accel_eval.estimation import (
     ConfidenceSpec,
@@ -82,6 +85,37 @@ def test_zero_variance_survives_merging():
         a.update(1.0, w)
         b.update(1.0, w)
     assert merge(a, b).sample_variance() == 0.0
+
+
+def _stepped_up(x: float, k: int) -> float:
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+# Weights up to 2**500 keep every variance within the float range.
+_weight = st.floats(min_value=0.0, max_value=2.0**500)
+_weights = st.one_of(
+    st.lists(_weight, min_size=2, max_size=30),
+    st.lists(st.sampled_from([0.0, 1.0]), min_size=2, max_size=30),
+    # Near-constant: a few ulps above one base, subnormal bases included.
+    st.builds(
+        lambda base, ks: [_stepped_up(base, k) for k in ks],
+        _weight, st.lists(st.integers(0, 3), min_size=2, max_size=30),
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_weights)
+@example([1.0, 1.0 - 2.0**-53, 1.0])  # exact variance 4.1e-33, not 0
+@example([0.7, math.nextafter(0.7, 1.0)])
+def test_sample_variance_is_the_exact_variance_correctly_rounded(ws):
+    exact = [Fraction(w) for w in ws]
+    m = sum(exact) / len(ws)
+    want = float(sum((x - m) ** 2 for x in exact) / (len(ws) - 1))
+    assert _filled(ws).sample_variance() == want
+    assert merge(_filled(ws[::2]), _filled(ws[1::2])).sample_variance() == want
 
 
 def test_z_alpha_frozen():

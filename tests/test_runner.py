@@ -81,9 +81,10 @@ def test_zero_estimate_has_no_natural_equivalent():
             "modes": ["is"],
             "n_cap": 400,
             "stopping": {"check_every": 200, "min_samples": 100},
+            "warm_start": {"crash": {"high": {"vartheta_r": 0.0, "vartheta_ttc": 0.0}}},
         }
     )
-    rep = run_experiment(cfg, do_ce=False)  # identity proposal: no crashes here
+    rep = run_experiment(cfg)  # untilted proposal: no crashes here
     (row,) = rep.rows
     assert row.estimate == 0.0
     assert not row.converged
