@@ -177,9 +177,11 @@ def _number(value, path: str, allow_inf: bool = False) -> float:
     return x
 
 
-def _integer(value, path: str) -> int:
+def _integer(value, path: str, least: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{path}: must be >= {least}")
     return value
 
 
@@ -322,14 +324,10 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"r_lc: must be > 0, got {r_lc}")
 
     ce = resolved["cross_entropy"]
-    ce_iterations = _integer(ce["iterations"], "cross_entropy.iterations")
-    if ce_iterations < 1:
-        raise ConfigError("cross_entropy.iterations: must be >= 1")
+    ce_iterations = _integer(ce["iterations"], "cross_entropy.iterations", 1)
     ce_n_per_iter = {}
     for ev, val in ce["n_per_iter"].items():
-        val = _integer(val, f"cross_entropy.n_per_iter.{ev}")
-        if val < 1:
-            raise ConfigError(f"cross_entropy.n_per_iter.{ev}: must be >= 1")
+        val = _integer(val, f"cross_entropy.n_per_iter.{ev}", 1)
         if ce_iterations * val > STREAM_INDICES:
             raise ConfigError(
                 f"cross_entropy.n_per_iter.{ev}: iterations x n_per_iter must be "
@@ -337,12 +335,8 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
             )
         ce_n_per_iter[ev] = val
 
-    check_every = _integer(resolved["stopping"]["check_every"], "stopping.check_every")
-    min_samples = _integer(resolved["stopping"]["min_samples"], "stopping.min_samples")
-    if check_every < 1:
-        raise ConfigError("stopping.check_every: must be >= 1")
-    if min_samples < 2:
-        raise ConfigError("stopping.min_samples: must be >= 2")
+    check_every = _integer(resolved["stopping"]["check_every"], "stopping.check_every", 1)
+    min_samples = _integer(resolved["stopping"]["min_samples"], "stopping.min_samples", 2)
     n_cap = _integer(resolved["n_cap"], "n_cap")
     if n_cap < min_samples:
         raise ConfigError(f"n_cap: must be >= stopping.min_samples ({min_samples}), got {n_cap}")
@@ -350,8 +344,7 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"n_cap: must be <= 2^32 (scenario stream indices), got {n_cap}")
     # Batches always run in one thread: ``workers`` is validated for
     # compatibility but kept out of the parsed config and the hashed settings.
-    if _integer(resolved.pop("workers"), "workers") < 1:
-        raise ConfigError("workers: must be >= 1")
+    _integer(resolved.pop("workers"), "workers", 1)
 
     warm_start: dict[str, dict[str, ProposalParams]] = {}
     for ev, per_bin in _require_map(resolved["warm_start"], "warm_start").items():

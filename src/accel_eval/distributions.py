@@ -45,21 +45,11 @@ class FitError(ValueError):
 
 
 # Each law formula below is written once, for floats (Python or numpy) and
-# arrays alike; only these helpers treat the two differently.  On a float,
-# or a 0-d array, whose arithmetic decays to floats, ``**`` is libm ``pow``
-# (numpy's array ``**`` is not) and the exponential laws call the same numpy
-# ufuncs, so a float and a 0-d array holding it give the same bits.
-# ``_clip`` and ``_on_support`` keep np.clip's tie rules on floats.
-
-
-def _pow(x, y):
-    """``x ** y``; where Python raises on a float (a zero base under a negative
-    power, or overflow), np.float64's ``**`` gives inf and warns, as numpy
-    does on arrays."""
-    try:
-        return x ** y
-    except ArithmeticError:
-        return float(np.float64(x) ** y)
+# arrays alike, from numpy's exp, log, log1p and expm1 ufuncs; only these
+# helpers treat the two differently.  Those ufuncs give a float the bits of
+# the same value inside an array of any length (numpy's array ``**`` does
+# not), so a float gives the bits of its own entry in an array.  ``_clip``
+# and ``_on_support`` keep np.clip's tie rules on floats.
 
 
 def _clip(x, lo: float, hi: float):
@@ -100,8 +90,9 @@ class TruncatedPareto:
     """Generalized Pareto density restricted to [lo, hi] and renormalized.
 
     The base law has shape ``k > 0``, scale ``sigma > 0`` and location
-    ``theta``; its survival function is ``(1 + k*(x-theta)/sigma)**(-1/k)``.
-    ``hi`` may be ``inf``.
+    ``theta``; with ``z = (x-theta)/sigma`` its survival function is
+    ``exp(-log1p(k*z)/k)``, which stays accurate as k -> 0, where the law
+    tends to the exponential of mean ``sigma``.  ``hi`` may be ``inf``.
     """
 
     def __init__(self, k: float, sigma: float, theta: float, lo: float, hi: float):
@@ -117,18 +108,19 @@ class TruncatedPareto:
         self.lo = float(lo)
         self.hi = float(hi)
         # Base survival at lo, and the mass of the base law kept by the
-        # truncation.  At hi = inf the survival power is exactly 0.0.
-        self._sf_lo = self._base_sf(self.lo)
-        self._z = self._sf_lo - self._base_sf(self.hi)
+        # truncation, as Python floats.  At hi = inf the survival is exp(-inf),
+        # exactly 0.0.
+        self._sf_lo = float(self._base_sf(self.lo))
+        self._z = float(self._sf_lo - self._base_sf(self.hi))
         if not self._z > 0:
             raise ValueError("truncation range carries no probability mass")
 
     def _base_sf(self, x):
-        return _pow(1.0 + self.k * (x - self.theta) / self.sigma, -1.0 / self.k)
+        return np.exp(-np.log1p(self.k * (x - self.theta) / self.sigma) / self.k)
 
     def pdf(self, x) -> np.ndarray | float:
-        return _on_support(x, self.lo, self.hi, lambda x: (1.0 / self.sigma) * _pow(
-            1.0 + self.k * (x - self.theta) / self.sigma, -1.0 - 1.0 / self.k
+        return _on_support(x, self.lo, self.hi, lambda x: (1.0 / self.sigma) * np.exp(
+            (-1.0 - 1.0 / self.k) * np.log1p(self.k * (x - self.theta) / self.sigma)
         ) / self._z)
 
     def cdf(self, x) -> np.ndarray | float:
@@ -137,7 +129,7 @@ class TruncatedPareto:
 
     def ppf(self, u) -> np.ndarray | float:
         s = self._sf_lo - _check_u(u) * self._z
-        x = self.theta + (self.sigma / self.k) * (_pow(s, -self.k) - 1.0)
+        x = self.theta + (self.sigma / self.k) * np.expm1(-self.k * np.log(s))
         return _clip(x, self.lo, self.hi)
 
 

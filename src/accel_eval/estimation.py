@@ -87,8 +87,12 @@ class EstimatorAccumulator:
         n, s1 = self.n, self._sum_w
         if n < 2:
             raise ValueError("need at least 2 samples")
-        # Exact numerator, >= 0 by Cauchy-Schwarz; int/int division rounds once.
-        return (n * self._sum_w2 - s1 * s1) / ((n * (n - 1)) << (2 * _FIXED_BITS))
+        # Exact numerator, >= 0 by Cauchy-Schwarz; int/int division rounds once,
+        # and a quotient past the float range rounds to inf.
+        try:
+            return (n * self._sum_w2 - s1 * s1) / ((n * (n - 1)) << (2 * _FIXED_BITS))
+        except OverflowError:
+            return math.inf
 
 
 def merge(a: EstimatorAccumulator, b: EstimatorAccumulator) -> EstimatorAccumulator:

@@ -118,6 +118,12 @@ def test_sample_variance_is_the_exact_variance_correctly_rounded(ws):
     assert merge(_filled(ws[::2]), _filled(ws[1::2])).sample_variance() == want
 
 
+def test_sample_variance_past_the_float_range_rounds_to_inf():
+    # The exact variance of {1e160, 0} is 5e319, which rounds to inf.
+    assert _filled([1e160, 0.0]).sample_variance() == math.inf
+    assert merge(_filled([1e160]), _filled([0.0])).sample_variance() == math.inf
+
+
 def test_z_alpha_frozen():
     assert ConfidenceSpec(alpha=0.2).z_alpha == pytest.approx(Z_80, abs=1e-9)
     assert ConfidenceSpec(alpha=0.05).z_alpha == pytest.approx(1.959964, abs=1e-5)
