@@ -21,14 +21,7 @@ import yaml
 from .config import EVENTS, MODES, ConfigError, load_config
 from .cross_entropy import CeZeroHitError
 from .ingest import build_model_section, load_events_csv, render_fit_summary
-from .runner import (
-    read_report,
-    run_experiment,
-    run_search,
-    search_to_dict,
-    write_outputs,
-    write_search_outputs,
-)
+from .runner import RunReport, read_report, run_experiment, run_search, write_outputs
 
 __all__ = ["main"]
 
@@ -89,7 +82,7 @@ def _build_parser() -> _Parser:
         "--verbose-traces", action="store_true",
         help="also write per-scenario logs and event traces",
     )
-    _add_common(sub.add_parser("search", help="cross-entropy tilt search only"))
+    _add_common(sub.add_parser("search", help="cross-entropy tilt search; writes a report with no rows"))
 
     # Bin settings left out keep the defaults of ingest.build_model_section.
     fitp = sub.add_parser("fit", help="fit the scenario model from an event CSV",
@@ -128,8 +121,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2 if bad else 0
         if args.command == "search":
             cfg = load_config(args.config, _overrides(args))
-            results = run_search(cfg)
-            write_search_outputs(search_to_dict(cfg, results), args.out)
+            write_outputs(RunReport(cfg, [], run_search(cfg), {}).to_dict(), args.out)
             print(f"wrote {os.path.join(args.out, 'summary.txt')}")
             return 0
         if args.command == "fit":

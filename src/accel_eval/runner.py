@@ -31,7 +31,7 @@ from .estimation import (
     required_n_cmc,
 )
 from .plant import classify_events, simulate
-from .scenario import ProposalParams, scenario_stream, stream_namespace
+from .scenario import BIN_NAME, ProposalParams, scenario_stream, stream_namespace
 
 __all__ = [
     "EstimateRow",
@@ -39,9 +39,7 @@ __all__ = [
     "SUMMARY_COLUMNS",
     "run_experiment",
     "run_search",
-    "search_to_dict",
     "write_outputs",
-    "write_search_outputs",
     "render_summary",
     "read_report",
 ]
@@ -85,7 +83,12 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return {
-            **_config_header(self.cfg),
+            "provenance": {
+                "config_hash": config_digest(self.cfg.resolved),
+                "seed": self.cfg.seed,
+                "version": __version__,
+            },
+            "resolved_config": self.cfg.resolved,
             "rows": [asdict(r) for r in self.rows],
             "ce": {key: _ce_state_dict(st) for key, st in self.ce.items()},
             "convergence": {
@@ -279,64 +282,6 @@ def _ce_state_dict(st: CeState) -> dict:
     }
 
 
-def _config_header(cfg: ExperimentConfig) -> dict:
-    return {
-        "provenance": {
-            "config_hash": config_digest(cfg.resolved),
-            "seed": cfg.seed,
-            "version": __version__,
-        },
-        "resolved_config": cfg.resolved,
-    }
-
-
-def search_to_dict(cfg: ExperimentConfig, results: dict[str, CeState]) -> dict:
-    return {
-        **_config_header(cfg),
-        "ce": {key: _ce_state_dict(st) for key, st in results.items()},
-    }
-
-
-def _provenance_lines(prov: dict) -> list[str]:
-    return [
-        f"config   sha256:{prov['config_hash']}",
-        f"seed     {prov['seed']}",
-        f"version  {prov['version']}",
-        "",
-    ]
-
-
-def _tilt_lines(ce: dict) -> list[str]:
-    return [
-        f"{key:<16} vartheta_r={st['vartheta_r']:.6g} "
-        f"vartheta_ttc={st['vartheta_ttc']:.6g} "
-        f"hits={st['event_hits']}/{st['n_per_iter']} "
-        f"iterations={len(st['history'])}"
-        for key, st in ce.items()
-    ]
-
-
-def write_search_outputs(d: dict, out_dir: str) -> None:
-    """Write the tilt summary, search.json and per-search history CSVs."""
-    os.makedirs(out_dir, exist_ok=True)
-    lines = [
-        "cross-entropy search",
-        *_provenance_lines(d["provenance"]),
-        *_tilt_lines(d["ce"]),
-        "",
-    ]
-    _write(os.path.join(out_dir, "summary.txt"), "\n".join(lines))
-    _write_json(os.path.join(out_dir, "search.json"), d)
-    _write_ce_csvs(d, out_dir)
-
-
-def _write_ce_csvs(d: dict, out_dir: str) -> None:
-    for key, st in d["ce"].items():
-        name = "ce_history_" + key.replace("/", "_") + ".csv"
-        _write_csv(os.path.join(out_dir, name), "iteration,vartheta_r,vartheta_ttc,hits,n",
-                   st["history"])
-
-
 def _fmt(x, width: int = 12) -> str:
     if x is None:
         return "-".rjust(width)
@@ -361,28 +306,33 @@ SUMMARY_COLUMNS = (
 
 def render_summary(d: dict) -> str:
     """Human-readable summary from a report dictionary."""
+    prov = d["provenance"]
     conf = d["resolved_config"]["confidence"]
     lines = [
         "accelerated-evaluation run",
-        *_provenance_lines(d["provenance"]),
+        f"config   sha256:{prov['config_hash']}",
+        f"seed     {prov['seed']}",
+        f"version  {prov['version']}",
+        "",
         f"estimates (confidence {(1.0 - conf['alpha']) * 100:.4g}%, "
         f"target relative half-width {conf['beta']:.4g}):",
-    ]
-    lines.append(
         "".join(h.rjust(12) if w is None else h.ljust(w) for h, _, w in SUMMARY_COLUMNS)
-        + "  source"
-    )
+        + "  source",
+    ]
     for r in d["rows"]:
         lines.append(
             "".join(_fmt(r[k]) if w is None else r[k].ljust(w) for _, k, w in SUMMARY_COLUMNS)
             + f"  {r['n_nature_source']}"
         )
     if d["ce"]:
-        # report.json stores ``ce`` under sorted keys; list the tilts in the
-        # order the run searched them, which is the order of the rows.
-        keys = dict.fromkeys(f"{_ce_event_for(r['event'])}/{r['bin']}" for r in d["rows"])
-        ce = {key: d["ce"][key] for key in keys if key in d["ce"]}
-        lines += ["", "cross-entropy tilts:", *_tilt_lines(ce)]
+        # In sorted key order, the order report.json stores them in.
+        lines += ["", "cross-entropy tilts:"] + [
+            f"{key:<16} vartheta_r={st['vartheta_r']:.6g} "
+            f"vartheta_ttc={st['vartheta_ttc']:.6g} "
+            f"hits={st['event_hits']}/{st['n_per_iter']} "
+            f"iterations={len(st['history'])}"
+            for key, st in sorted(d["ce"].items())
+        ]
     lines.append("")
     return "\n".join(lines)
 
@@ -459,13 +409,18 @@ def _check_report(d, source: str) -> None:
                 raise bad(f"rows[{i}].{k}", "is not a string")
         for k in numbers:
             number(r[k], f"rows[{i}].{k}", none_ok=True)
-    for key, st in mapping(d["ce"], "ce").items():
+    # Each part of a ce or convergence key names output files, as a bin name does.
+    for section in ("ce", "convergence"):
+        for key in mapping(d[section], section):
+            if not all(BIN_NAME.fullmatch(part) for part in key.split("/")):
+                raise bad(f"{section}[{key!r}]", "has a part that is not 1 to 64 of [A-Za-z0-9_.-]")
+    for key, st in d["ce"].items():
         path = f"ce[{key!r}]"
         mapping(st, path, ("vartheta_r", "vartheta_ttc", "event_hits", "n_per_iter", "history"))
         number(st["vartheta_r"], f"{path}.vartheta_r")
         number(st["vartheta_ttc"], f"{path}.vartheta_ttc")
         table(st["history"], f"{path}.history")
-    for key, rows in mapping(d["convergence"], "convergence").items():
+    for key, rows in d["convergence"].items():
         table(rows, f"convergence[{key!r}]")
 
 
@@ -504,7 +459,10 @@ def write_outputs(d: dict, out_dir: str, report: RunReport | None = None) -> Non
     for key, rows in d["convergence"].items():
         name = "convergence_" + key.replace("/", "_") + ".csv"
         _write_csv(os.path.join(out_dir, name), "n,estimate,rel_half_width,sample_variance", rows)
-    _write_ce_csvs(d, out_dir)
+    for key, st in d["ce"].items():
+        name = "ce_history_" + key.replace("/", "_") + ".csv"
+        _write_csv(os.path.join(out_dir, name), "iteration,vartheta_r,vartheta_ttc,hits,n",
+                   st["history"])
     if report is not None and report.scenario_logs:
         _write_scenario_logs(report, out_dir)
 

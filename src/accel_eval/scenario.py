@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
@@ -28,6 +29,7 @@ from .distributions import (
 )
 
 __all__ = [
+    "BIN_NAME",
     "STREAM_INDICES",
     "VelocityBin",
     "ProposalParams",
@@ -40,6 +42,9 @@ __all__ = [
 
 STREAM_INDICES = 1 << 32  # scenario indices and namespaces per seed
 
+# Bin names become parts of output file names; ``all`` is the ``bins: [all]`` keyword.
+BIN_NAME = re.compile(r"[A-Za-z0-9_.-]{1,64}")
+
 
 @dataclass(frozen=True)
 class VelocityBin:
@@ -50,6 +55,8 @@ class VelocityBin:
     hi: float
 
     def __post_init__(self):
+        if self.name == "all" or not BIN_NAME.fullmatch(self.name):
+            raise ValueError(f"bin name {self.name!r}: expected 1 to 64 of [A-Za-z0-9_.-], not 'all'")
         if not self.lo < self.hi:
             raise ValueError(f"bin {self.name!r}: need lo < hi, got {self.lo}, {self.hi}")
 

@@ -177,7 +177,9 @@ def test_search_writes_tilt_artifacts(tmp_path, capsys):
     )
     out = tmp_path / "search"
     assert main(["search", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "search.json").exists()
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["rows"] == [] and report["convergence"] == {}
+    assert list(report["ce"]) == ["conflict/high"]
     assert (out / "ce_history_conflict_high.csv").exists()
     assert "wrote" in capsys.readouterr().out
 
@@ -314,9 +316,13 @@ def _without_row_key(key):
     # json reads 1e400 as infinity, which strict JSON cannot write back.
     (lambda text: re.sub(r'"r_acc": [^,\n]+', '"r_acc": 1e400', text, count=1),
      "it holds 1e400"),
+    # Each part of a key names a file, so a NUL in one would fail mid-write.
+    ({"convergence": {"conflict/a\u0000b/is": []}},
+     r"convergence['conflict/a\x00b/is'] has a part that is not"),
     *((_without_row_key(k), f"rows[0] has no {k!r} key") for k in ROW_KEYS),
 ], ids=["empty-resolved-config", "convergence-not-a-mapping", "row-without-keys", "nan",
-        "int-past-float-range", "float-past-float-range", *(f"row-without-{k}" for k in ROW_KEYS)])
+        "int-past-float-range", "float-past-float-range", "nul-in-key",
+        *(f"row-without-{k}" for k in ROW_KEYS)])
 def test_report_checks_values_before_writing(tmp_path, capsys, change, where):
     """``change`` is merged into the stored report, or edits its text when callable."""
     stored = tmp_path / "stored"
@@ -334,15 +340,24 @@ def test_report_checks_values_before_writing(tmp_path, capsys, change, where):
     assert list(out.iterdir()) == []
 
 
-def test_report_rejects_a_search_result(tmp_path, capsys):
-    ce = {"iterations": 1, "n_per_iter": {"conflict": 50}}
-    cfg = _config_file(tmp_path, {"seed": 8, "bins": ["low"], "cross_entropy": ce})
-    searched = tmp_path / "searched"
-    assert main(["search", "--config", cfg, "--out", str(searched)]) == 0
-    (searched / "report.json").write_bytes((searched / "search.json").read_bytes())
+@pytest.mark.parametrize("command", ["run", "search"])
+def test_report_rerenders_every_searched_tilt(tmp_path, capsys, command):
+    # Bins given out of sorted order: every summary lists the tilts sorted.
+    cfg = _config_file(tmp_path, {
+        "seed": 8, "bins": ["low", "high"], "n_cap": 400,
+        "stopping": {"check_every": 200, "min_samples": 200},
+        "cross_entropy": {"iterations": 1, "n_per_iter": {"conflict": 50}},
+    })
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([command, "--config", cfg, "--out", str(first)]) in (0, 2)
+    assert main(["report", str(first), "--out", str(second)]) == 0
     capsys.readouterr()
-    assert main(["report", str(searched), "--out", str(tmp_path / "out")]) == 1
-    assert "no 'rows' key" in capsys.readouterr().err
+    files = sorted(p.relative_to(first) for p in first.rglob("*"))
+    assert files == sorted(p.relative_to(second) for p in second.rglob("*"))
+    for name in files:
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+    text = (first / "summary.txt").read_text(encoding="utf-8")
+    assert text.index("conflict/high ") < text.index("conflict/low ")
 
 
 def test_overflowing_injury_logistic_still_writes_a_report(tmp_path, capsys):
@@ -413,6 +428,17 @@ def test_empty_list_key_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: events: expected a list")
 
 
+def test_a_bin_name_that_cannot_name_a_file_fails_before_anything_runs(tmp_path, capsys):
+    # The name would reach the file system only after every row was computed.
+    bins = [{"name": "low", "lo": 5.0, "hi": 15.0}, {"name": "x" * 300, "lo": 15.0, "hi": 40.0}]
+    cfg = _config_file(tmp_path, {"seed": 1, "modes": ["cmc"], "n_cap": 200,
+                                  "model": {"velocity_bins": bins}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: model.velocity_bins[1]: bin name")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--verbose-traces"], ["--mode", "is"], ["--n-cap", "5"]])
 def test_search_rejects_estimation_flags(tmp_path, capsys, flags):
     cfg = _fast_config(tmp_path)
@@ -431,9 +457,9 @@ def test_search_takes_selection_flags(tmp_path, capsys):
     assert main(["search", "--config", cfg, "--out", str(out), "--bin", "low",
                  "--event", "conflict", "--workers", "2"]) == 0
     capsys.readouterr()
-    assert list(json.loads((out / "search.json").read_text(encoding="utf-8"))["ce"]) == [
-        "conflict/low"
-    ]
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert list(report["ce"]) == ["conflict/low"]
+    assert report["rows"] == [] and report["convergence"] == {}
 
 
 def test_reports_are_strict_json_with_an_unbounded_range_law(tmp_path, capsys):

@@ -106,6 +106,17 @@ def test_bins_expansion_and_validation():
         parse_config({"seed": 1, "model": {"velocity_bins": bins}, "bins": ["top"]})
 
 
+@pytest.mark.parametrize("name", ["", "a/b", "a\0b", "x" * 65, "all"],
+                         ids=["empty", "slash", "nul", "65-chars", "all"])
+def test_bin_names_must_be_able_to_name_output_files(name):
+    bins = default_config_dict()["model"]["velocity_bins"]
+    bins[1]["name"] = name
+    with pytest.raises(ConfigError, match=r"^model\.velocity_bins\[1\]: bin name"):
+        parse_config({"seed": 1, "model": {"velocity_bins": bins}})
+    bins[1]["name"] = "Mid_2.5-" + "x" * 56
+    assert parse_config({"seed": 1, "model": {"velocity_bins": bins}}).bins[1] == bins[1]["name"]
+
+
 def test_warm_start_round_trip_and_defaults():
     data = {
         "seed": 1,

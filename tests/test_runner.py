@@ -9,12 +9,11 @@ import pytest
 from accel_eval.config import parse_config
 from accel_eval.estimation import MILE_M, required_n_cmc
 from accel_eval.runner import (
+    RunReport,
     render_summary,
     run_experiment,
     run_search,
-    search_to_dict,
     write_outputs,
-    write_search_outputs,
 )
 
 FAST = {
@@ -152,15 +151,15 @@ def test_search_deduplicates_injury_and_crash():
     )
     results = run_search(cfg)
     assert list(results) == ["crash/low"]
-    d = search_to_dict(cfg, results)
+    d = RunReport(cfg, [], results, {}).to_dict()
     assert d["provenance"]["seed"] == 2
     assert list(d["ce"]) == ["crash/low"]
     assert len(d["ce"]["crash/low"]["history"]) == 2
 
 
 def test_outputs_are_reproducible_and_round_trip(tmp_path):
-    # Two bins whose run order is not their sorted order, as report.json
-    # stores them, so the re-rendered tilt lines must follow the rows.
+    # Two bins whose run order is not their sorted order: the fresh and the
+    # re-rendered summary both list the tilts in sorted key order.
     cfg = parse_config({**FAST, "n_cap": 800, "seed": 21, "bins": ["medium", "high"]})
     rep = run_experiment(cfg)
     d = rep.to_dict()
@@ -228,25 +227,24 @@ def test_search_outputs_files(tmp_path):
             "cross_entropy": {"iterations": 2, "n_per_iter": {"conflict": 150}},
         }
     )
-    d = search_to_dict(cfg, run_search(cfg))
+    d = RunReport(cfg, [], run_search(cfg), {}).to_dict()
     out = tmp_path / "search"
-    write_search_outputs(d, str(out))
-    assert (out / "search.json").exists()
+    write_outputs(d, str(out))
+    assert (out / "report.json").exists()
     assert (out / "ce_history_conflict_high.csv").exists()
     text = (out / "summary.txt").read_text(encoding="utf-8")
-    assert "cross-entropy search" in text
+    assert "cross-entropy tilts" in text
     assert "conflict/high" in text
-    loaded = json.loads((out / "search.json").read_text(encoding="utf-8"))
+    loaded = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert loaded == json.loads(json.dumps(d))
+    assert loaded["rows"] == [] and loaded["convergence"] == {}
 
 
 def test_json_outputs_refuse_non_finite_numbers(tmp_path):
-    # report.json and search.json are strict JSON: a NaN or infinity is an
-    # error at write time, not an "NaN"/"Infinity" token in the file.
+    # report.json is strict JSON: a NaN or infinity is an error at write
+    # time, not an "NaN"/"Infinity" token in the file.
     cfg = parse_config({"seed": 8})
-    d = search_to_dict(cfg, {})
+    d = RunReport(cfg, [], {}, {}).to_dict()
     d["resolved_config"]["r_lc"] = math.nan
     with pytest.raises(ValueError, match="JSON compliant"):
-        write_search_outputs(d, str(tmp_path / "search"))
-    with pytest.raises(ValueError, match="JSON compliant"):
-        write_outputs({**d, "rows": [], "convergence": {}}, str(tmp_path / "run"))
+        write_outputs(d, str(tmp_path / "run"))
