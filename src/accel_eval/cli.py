@@ -102,11 +102,26 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "fit":
+            bin_settings = {k: v for k, v in vars(args).items()
+                            if k not in ("command", "data", "out")}
+            section, summary = build_model_section(load_events_csv(args.data), **bin_settings)
+            with open(args.out, "w", encoding="utf-8") as fh:
+                yaml.safe_dump({"model": section}, fh, sort_keys=False)
+            sys.stdout.write(render_fit_summary(summary))
+            print(f"wrote {args.out} (add a seed to use it as a run config)")
+            return 0
         # Files of an earlier run would stay beside the new report, unlisted by it.
-        if args.command != "fit" and os.path.isdir(args.out) and os.listdir(args.out):
+        if os.path.isdir(args.out) and os.listdir(args.out):
             raise ValueError(f"--out {args.out} is not empty; give a new or empty directory")
-        if args.command == "run":
+        if args.command == "report":
+            d = read_report(os.path.join(args.result_dir, "report.json"))
+        else:
             cfg = load_config(args.config, _overrides(args))
+        # Made once the inputs are read and before any work: an --out that
+        # cannot be a directory fails here, not after the whole run.
+        os.makedirs(args.out, exist_ok=True)
+        if args.command == "run":
             report = run_experiment(cfg, verbose_traces=args.verbose_traces)
             write_outputs(report.to_dict(), args.out, report=report)
             bad = [r for r in report.rows if not r.converged]
@@ -120,21 +135,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {os.path.join(args.out, 'summary.txt')}")
             return 2 if bad else 0
         if args.command == "search":
-            cfg = load_config(args.config, _overrides(args))
             write_outputs(RunReport(cfg, [], run_search(cfg), {}).to_dict(), args.out)
             print(f"wrote {os.path.join(args.out, 'summary.txt')}")
             return 0
-        if args.command == "fit":
-            bin_settings = {k: v for k, v in vars(args).items()
-                            if k not in ("command", "data", "out")}
-            section, summary = build_model_section(load_events_csv(args.data), **bin_settings)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                yaml.safe_dump({"model": section}, fh, sort_keys=False)
-            sys.stdout.write(render_fit_summary(summary))
-            print(f"wrote {args.out} (add a seed to use it as a run config)")
-            return 0
         if args.command == "report":
-            write_outputs(read_report(os.path.join(args.result_dir, "report.json")), args.out)
+            write_outputs(d, args.out)
             print(f"wrote {os.path.join(args.out, 'summary.txt')}")
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")

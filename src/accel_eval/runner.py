@@ -77,9 +77,10 @@ class RunReport:
     rows: list[EstimateRow]
     ce: dict[str, CeState]
     convergence: dict[str, list[tuple[int, float, float | None, float]]]
-    # Per combination: log rows, and (index, scenario) of the first
-    # event-positive draws, kept to record their traces when written.
-    scenario_logs: dict[str, tuple[list[tuple], list[tuple]]] | None = None
+    # Per combination: the per-scenario CSV lines, each built once at
+    # draw time, and (index, scenario) of the first event-positive draws,
+    # kept to record their traces when written.
+    scenario_logs: dict[str, tuple[list[str], list[tuple]]] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -130,7 +131,7 @@ def _estimate_combo(
     ns = stream_namespace(f"estimate/{event}/{bin_name}/{mode}")
     total = EstimatorAccumulator()
     conv: list[tuple[int, float, float | None, float]] = []
-    rows: list[tuple] = []
+    lines: list[str] = []
     traced: list[tuple] = []
     seed, plant, sample = cfg.seed, cfg.plant, cfg.model.sample_scenario
     for start in range(0, cfg.n_cap, cfg.check_every):
@@ -141,10 +142,10 @@ def _estimate_combo(
             trace = simulate(s, plant)
             update(_indicator(cfg, event, trace), s.likelihood, trace.distance_m)
             if keep_log:
-                rows.append(
+                lines.append(_csv_line(
                     (i, s.v_l, s.r_inv, s.ttc_inv, s.likelihood, trace.outcome,
                      trace.min_range, trace.delta_v)
-                )
+                ))
                 if trace.outcome != "none" and len(traced) < _MAX_TRACE_FILES:
                     traced.append((i, s))
         total = merge(total, acc)
@@ -153,8 +154,8 @@ def _estimate_combo(
         lr = relative_half_width(total, cfg.confidence)
         conv.append((total.n, total.mean(), lr, total.sample_variance()))
         if total.n >= cfg.min_samples and lr is not None and lr < cfg.confidence.beta:
-            return total, conv, True, (rows, traced)
-    return total, conv, False, (rows, traced)
+            return total, conv, True, (lines, traced)
+    return total, conv, False, (lines, traced)
 
 
 def _build_row(
@@ -437,8 +438,15 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    _write(path, header + "\n" + "".join(",".join(map(_csv_cell, r)) + "\n" for r in rows))
+def _csv_line(row) -> str:
+    return ",".join(map(_csv_cell, row)) + "\n"
+
+
+def _write_csv(path: str, header: str, lines) -> None:
+    # Line by line: no file is built as one string in memory.
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(lines)
 
 
 def _write_json(path: str, d: dict) -> None:
@@ -458,11 +466,12 @@ def write_outputs(d: dict, out_dir: str, report: RunReport | None = None) -> Non
     _write_json(os.path.join(out_dir, "report.json"), d)
     for key, rows in d["convergence"].items():
         name = "convergence_" + key.replace("/", "_") + ".csv"
-        _write_csv(os.path.join(out_dir, name), "n,estimate,rel_half_width,sample_variance", rows)
+        _write_csv(os.path.join(out_dir, name), "n,estimate,rel_half_width,sample_variance",
+                   map(_csv_line, rows))
     for key, st in d["ce"].items():
         name = "ce_history_" + key.replace("/", "_") + ".csv"
         _write_csv(os.path.join(out_dir, name), "iteration,vartheta_r,vartheta_ttc,hits,n",
-                   st["history"])
+                   map(_csv_line, st["history"]))
     if report is not None and report.scenario_logs:
         _write_scenario_logs(report, out_dir)
 
@@ -471,14 +480,15 @@ def _write_scenario_logs(report: RunReport, out_dir: str) -> None:
     # Each trace drives the drawn scenario itself again, with recording;
     # states are made one trace at a time, not held for the whole run.
     cfg = report.cfg
-    for key, (rows, traced) in report.scenario_logs.items():
+    for key, (lines, traced) in report.scenario_logs.items():
         name = "scenarios_" + key.replace("/", "_") + ".csv"
         _write_csv(os.path.join(out_dir, name),
-                   "index,v_l,r_inv,ttc_inv,likelihood,outcome,min_range,delta_v", rows)
+                   "index,v_l,r_inv,ttc_inv,likelihood,outcome,min_range,delta_v", lines)
         trace_dir = os.path.join(out_dir, "traces", key.replace("/", "_"))
         if traced:
             os.makedirs(trace_dir, exist_ok=True)
         for i, s in traced:
             trace = simulate(s, cfg.plant, record=True)
             _write_csv(os.path.join(trace_dir, f"{i:06d}.csv"), "t,r,v,a_cmd,a,mode",
-                       ((st.t, st.r, st.v, st.a_cmd, st.a, st.mode) for st in trace.states))
+                       (_csv_line((st.t, st.r, st.v, st.a_cmd, st.a, st.mode))
+                        for st in trace.states))

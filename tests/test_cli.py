@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from accel_eval import cli
 from accel_eval.cli import main
 from accel_eval.config import parse_config
 from accel_eval.plant import simulate
@@ -66,6 +67,30 @@ def test_non_empty_out_is_refused(tmp_path, capsys, command):
     )
     assert [p.name for p in out.iterdir()] == ["stale.csv"]
     assert (out / "stale.csv").read_bytes() == b"n,estimate\n"
+
+
+@pytest.mark.parametrize("command", ["run", "search", "report"])
+def test_out_that_cannot_be_a_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                              command):
+    cfg = _fast_config(tmp_path)
+    stored = tmp_path / "stored"
+    if command == "report":
+        assert main(["run", "--config", cfg, "--out", str(stored)]) == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("work began before --out was made")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    monkeypatch.setattr(cli, "run_search", never)
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"x")
+    args = [str(stored)] if command == "report" else ["--config", cfg]
+    capsys.readouterr()
+    for out in (blocker, blocker / "under"):
+        assert main([command, *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+    assert blocker.read_bytes() == b"x"
 
 
 def test_run_returns_2_when_not_converged(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from accel_eval.config import parse_config
 from accel_eval.estimation import MILE_M, required_n_cmc
+from accel_eval.plant import simulate
 from accel_eval.runner import (
     RunReport,
     render_summary,
@@ -15,6 +16,7 @@ from accel_eval.runner import (
     run_search,
     write_outputs,
 )
+from accel_eval.scenario import ProposalParams, scenario_stream, stream_namespace
 
 FAST = {
     "seed": 42,
@@ -205,6 +207,17 @@ def test_verbose_traces_write_scenario_artifacts(tmp_path):
     lines = log.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "index,v_l,r_inv,ttc_inv,likelihood,outcome,min_range,delta_v"
     assert len(lines) == 1 + rep.rows[0].n
+    # Each line is built at draw time; it must be the bytes rebuilt from that draw.
+    b = cfg.model.bin_named("high")
+    params = ProposalParams(-0.11, -0.015, "high")
+    ns = stream_namespace("estimate/conflict/high/is")
+    for i, line in enumerate(lines[1:]):
+        s = cfg.model.sample_scenario(b, scenario_stream(13, i, ns), params)
+        tr = simulate(s, cfg.plant)
+        assert line == ",".join([
+            str(i), repr(s.v_l), repr(s.r_inv), repr(s.ttc_inv), repr(s.likelihood),
+            tr.outcome, repr(tr.min_range), "" if tr.delta_v is None else repr(tr.delta_v),
+        ])
 
     trace_dir = out / "traces" / "conflict_high_is"
     traces = sorted(trace_dir.iterdir())
