@@ -122,27 +122,21 @@ def main(argv: list[str] | None = None) -> int:
         # cannot be a directory fails here, not after the whole run.
         os.makedirs(args.out, exist_ok=True)
         if args.command == "run":
-            report = run_experiment(cfg, verbose_traces=args.verbose_traces)
-            write_outputs(report.to_dict(), args.out, report=report)
-            bad = [r for r in report.rows if not r.converged]
-            for r in bad:
-                print(
-                    f"warning: {r.event}/{r.bin}/{r.mode} not converged at "
-                    f"n={r.n} (rel half-width "
-                    f"{'-' if r.rel_half_width is None else f'{r.rel_half_width:.3g}'})",
-                    file=sys.stderr,
-                )
-            print(f"wrote {os.path.join(args.out, 'summary.txt')}")
-            return 2 if bad else 0
-        if args.command == "search":
-            write_outputs(RunReport(cfg, [], run_search(cfg), {}).to_dict(), args.out)
-            print(f"wrote {os.path.join(args.out, 'summary.txt')}")
-            return 0
-        if args.command == "report":
-            write_outputs(d, args.out)
-            print(f"wrote {os.path.join(args.out, 'summary.txt')}")
-            return 0
-        raise AssertionError(f"unhandled command {args.command!r}")
+            d = run_experiment(cfg, args.out if args.verbose_traces else None).to_dict()
+        elif args.command == "search":
+            d = RunReport(cfg, [], run_search(cfg), {}).to_dict()
+        write_outputs(d, args.out)
+        # A stored report re-renders with exit 0, converged or not.
+        bad = [r for r in d["rows"] if not r["converged"]] if args.command == "run" else []
+        for r in bad:
+            hw = r["rel_half_width"]
+            print(
+                f"warning: {r['event']}/{r['bin']}/{r['mode']} not converged at "
+                f"n={r['n']} (rel half-width {'-' if hw is None else f'{hw:.3g}'})",
+                file=sys.stderr,
+            )
+        print(f"wrote {os.path.join(args.out, 'summary.txt')}")
+        return 2 if bad else 0
     except CeZeroHitError as e:
         print(f"cross-entropy search aborted: {e}", file=sys.stderr)
         return 2

@@ -4,7 +4,10 @@ Input is a CSV with a header row and columns ``v`` (following-vehicle
 speed, m/s), ``v_l`` (lead speed, m/s), ``r_l`` (range at cut-in, m) and
 ``r_l_dot`` (range rate at cut-in, m/s).  Records outside the studied
 envelope are dropped: speeds must lie in (2, 40) m/s, range in
-(0.1, 75) m, and only closing events (negative range rate) count.
+(0.1, 75) m, and only closing events (negative range rate) count.  A
+record with a non-finite value in any column is dropped too: an
+infinite range rate would otherwise count as closing and put an
+infinity into the fitted table.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ def apply_filters(data: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, in
         "v_l_out_of_range": (data["v_l"] > V_RANGE[0]) & (data["v_l"] < V_RANGE[1]),
         "r_l_out_of_range": (data["r_l"] > R_RANGE[0]) & (data["r_l"] < R_RANGE[1]),
         "not_closing": data["r_l_dot"] < 0.0,
+        "not_finite": np.logical_and.reduce([np.isfinite(data[c]) for c in _COLUMNS]),
     }
     mask = np.ones(len(data["v"]), dtype=bool)
     dropped = {}

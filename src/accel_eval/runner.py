@@ -7,6 +7,11 @@ batch boundaries only.  The ``workers`` setting is accepted and
 validated but selects nothing: a thread pool ran slower than one thread
 under the GIL.
 
+With a log directory (``--verbose-traces``), each combination writes
+its per-scenario CSV line by line as it draws, and records and writes
+the traces of its first event-positive draws on the spot.
+:func:`write_outputs` then writes exactly what the report dict holds.
+
 Report files carry no timestamps: rerunning the same config and seed
 must reproduce them exactly.
 """
@@ -17,6 +22,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from . import __version__
@@ -45,6 +51,7 @@ __all__ = [
 ]
 
 _MAX_TRACE_FILES = 20  # per (event, bin, mode) combination when tracing is on
+_SCENARIO_HEADER = "index,v_l,r_inv,ttc_inv,likelihood,outcome,min_range,delta_v"
 
 
 @dataclass(frozen=True)
@@ -77,10 +84,6 @@ class RunReport:
     rows: list[EstimateRow]
     ce: dict[str, CeState]
     convergence: dict[str, list[tuple[int, float, float | None, float]]]
-    # Per combination: the per-scenario CSV lines, each built once at
-    # draw time, and (index, scenario) of the first event-positive draws,
-    # kept to record their traces when written.
-    scenario_logs: dict[str, tuple[list[str], list[tuple]]] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -124,38 +127,44 @@ def _estimate_combo(
     bin_name: str,
     mode: str,
     params: ProposalParams | None,
-    keep_log: bool,
+    log_dir: str | None,
 ):
     """Batched estimation for one (event, bin, mode); see module docstring."""
     b = cfg.model.bin_named(bin_name)
     ns = stream_namespace(f"estimate/{event}/{bin_name}/{mode}")
     total = EstimatorAccumulator()
     conv: list[tuple[int, float, float | None, float]] = []
-    lines: list[str] = []
-    traced: list[tuple] = []
     seed, plant, sample = cfg.seed, cfg.plant, cfg.model.sample_scenario
-    for start in range(0, cfg.n_cap, cfg.check_every):
-        acc = EstimatorAccumulator()
-        update = acc.update
-        for i in range(start, min(start + cfg.check_every, cfg.n_cap)):
-            s = sample(b, scenario_stream(seed, i, ns), params)
-            trace = simulate(s, plant)
-            update(_indicator(cfg, event, trace), s.likelihood, trace.distance_m)
-            if keep_log:
-                lines.append(_csv_line(
-                    (i, s.v_l, s.r_inv, s.ttc_inv, s.likelihood, trace.outcome,
-                     trace.min_range, trace.delta_v)
-                ))
-                if trace.outcome != "none" and len(traced) < _MAX_TRACE_FILES:
-                    traced.append((i, s))
-        total = merge(total, acc)
-        if total.n < 2:
-            continue
-        lr = relative_half_width(total, cfg.confidence)
-        conv.append((total.n, total.mean(), lr, total.sample_variance()))
-        if total.n >= cfg.min_samples and lr is not None and lr < cfg.confidence.beta:
-            return total, conv, True, (lines, traced)
-    return total, conv, False, (lines, traced)
+    name = f"{event}_{bin_name}_{mode}"
+    traced = 0
+    with (nullcontext() if log_dir is None else
+          _open_csv(os.path.join(log_dir, f"scenarios_{name}.csv"), _SCENARIO_HEADER)) as log:
+        for start in range(0, cfg.n_cap, cfg.check_every):
+            acc = EstimatorAccumulator()
+            update = acc.update
+            for i in range(start, min(start + cfg.check_every, cfg.n_cap)):
+                s = sample(b, scenario_stream(seed, i, ns), params)
+                trace = simulate(s, plant)
+                update(_indicator(cfg, event, trace), s.likelihood, trace.distance_m)
+                if log is not None:
+                    log.write(_csv_line(
+                        (i, s.v_l, s.r_inv, s.ttc_inv, s.likelihood, trace.outcome,
+                         trace.min_range, trace.delta_v)
+                    ))
+                    if trace.outcome != "none" and traced < _MAX_TRACE_FILES:
+                        # The drawn scenario again, with recording; one
+                        # trace's states at a time are held.
+                        traced += 1
+                        _write_trace(os.path.join(log_dir, "traces", name), i,
+                                     simulate(s, plant, record=True))
+            total = merge(total, acc)
+            if total.n < 2:
+                continue
+            lr = relative_half_width(total, cfg.confidence)
+            conv.append((total.n, total.mean(), lr, total.sample_variance()))
+            if total.n >= cfg.min_samples and lr is not None and lr < cfg.confidence.beta:
+                return total, conv, True
+    return total, conv, False
 
 
 def _build_row(
@@ -229,13 +238,17 @@ def run_search(cfg: ExperimentConfig, skip_warm: bool = False) -> dict[str, CeSt
     return results
 
 
-def run_experiment(cfg: ExperimentConfig, verbose_traces: bool = False) -> RunReport:
-    """Search (unless warm-started) then estimate every combination."""
+def run_experiment(cfg: ExperimentConfig, log_dir: str | None = None) -> RunReport:
+    """Search (unless warm-started) then estimate every combination.
+
+    With ``log_dir``, an existing directory, each combination writes its
+    per-scenario CSV there as it draws, and the traces of its first
+    event-positive draws under ``traces/``.
+    """
     ce_results = run_search(cfg, skip_warm=True) if "is" in cfg.modes else {}
 
     rows: list[EstimateRow] = []
     convergence: dict[str, list] = {}
-    scenario_logs: dict[str, tuple] | None = {} if verbose_traces else None
     for event in cfg.events:
         for bin_name in cfg.bins:
             accs = {}
@@ -247,13 +260,8 @@ def run_experiment(cfg: ExperimentConfig, verbose_traces: bool = False) -> RunRe
                     params = _warm_params(cfg, event, bin_name)
                     if params is None:
                         params = ce_results[f"{_ce_event_for(event)}/{bin_name}"].params
-                acc, conv, ok, logs = _estimate_combo(
-                    cfg, event, bin_name, mode, params, verbose_traces
-                )
-                key = f"{event}/{bin_name}/{mode}"
-                convergence[key] = conv
-                if scenario_logs is not None:
-                    scenario_logs[key] = logs
+                acc, conv, ok = _estimate_combo(cfg, event, bin_name, mode, params, log_dir)
+                convergence[f"{event}/{bin_name}/{mode}"] = conv
                 accs[mode] = acc
                 flags[mode] = ok
                 tilts[mode] = params
@@ -263,10 +271,7 @@ def run_experiment(cfg: ExperimentConfig, verbose_traces: bool = False) -> RunRe
                     _build_row(cfg, event, bin_name, mode, accs[mode], flags[mode],
                                tilts[mode], cmc_acc)
                 )
-    return RunReport(
-        cfg=cfg, rows=rows, ce=ce_results, convergence=convergence,
-        scenario_logs=scenario_logs,
-    )
+    return RunReport(cfg=cfg, rows=rows, ce=ce_results, convergence=convergence)
 
 
 def _ce_state_dict(st: CeState) -> dict:
@@ -442,11 +447,22 @@ def _csv_line(row) -> str:
     return ",".join(map(_csv_cell, row)) + "\n"
 
 
+def _open_csv(path: str, header: str):
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    fh.write(header + "\n")
+    return fh
+
+
 def _write_csv(path: str, header: str, lines) -> None:
     # Line by line: no file is built as one string in memory.
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+    with _open_csv(path, header) as fh:
         fh.writelines(lines)
+
+
+def _write_trace(trace_dir: str, i: int, trace) -> None:
+    os.makedirs(trace_dir, exist_ok=True)
+    _write_csv(os.path.join(trace_dir, f"{i:06d}.csv"), "t,r,v,a_cmd,a,mode",
+               (_csv_line((st.t, st.r, st.v, st.a_cmd, st.a, st.mode)) for st in trace.states))
 
 
 def _write_json(path: str, d: dict) -> None:
@@ -454,13 +470,8 @@ def _write_json(path: str, d: dict) -> None:
     _write(path, json.dumps(d, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def write_outputs(d: dict, out_dir: str, report: RunReport | None = None) -> None:
-    """Write summary, machine-readable report, and CSV logs into ``out_dir``.
-
-    When a live :class:`RunReport` with scenario logs is supplied, also
-    write per-scenario CSVs and the traces recorded for the first
-    event-positive draws of each combination.
-    """
+def write_outputs(d: dict, out_dir: str) -> None:
+    """Write the summary, report.json and the CSVs of report dict ``d`` into ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "summary.txt"), render_summary(d))
     _write_json(os.path.join(out_dir, "report.json"), d)
@@ -472,23 +483,3 @@ def write_outputs(d: dict, out_dir: str, report: RunReport | None = None) -> Non
         name = "ce_history_" + key.replace("/", "_") + ".csv"
         _write_csv(os.path.join(out_dir, name), "iteration,vartheta_r,vartheta_ttc,hits,n",
                    map(_csv_line, st["history"]))
-    if report is not None and report.scenario_logs:
-        _write_scenario_logs(report, out_dir)
-
-
-def _write_scenario_logs(report: RunReport, out_dir: str) -> None:
-    # Each trace drives the drawn scenario itself again, with recording;
-    # states are made one trace at a time, not held for the whole run.
-    cfg = report.cfg
-    for key, (lines, traced) in report.scenario_logs.items():
-        name = "scenarios_" + key.replace("/", "_") + ".csv"
-        _write_csv(os.path.join(out_dir, name),
-                   "index,v_l,r_inv,ttc_inv,likelihood,outcome,min_range,delta_v", lines)
-        trace_dir = os.path.join(out_dir, "traces", key.replace("/", "_"))
-        if traced:
-            os.makedirs(trace_dir, exist_ok=True)
-        for i, s in traced:
-            trace = simulate(s, cfg.plant, record=True)
-            _write_csv(os.path.join(trace_dir, f"{i:06d}.csv"), "t,r,v,a_cmd,a,mode",
-                       (_csv_line((st.t, st.r, st.v, st.a_cmd, st.a, st.mode))
-                        for st in trace.states))

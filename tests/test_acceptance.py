@@ -79,7 +79,7 @@ def seed42_runs(tmp_path_factory):
         cfg = parse_config({**RUN_CFG, "workers": w})
         rep = run_experiment(cfg)
         out = tmp_path_factory.mktemp(f"workers{w}")
-        write_outputs(rep.to_dict(), str(out), report=rep)
+        write_outputs(rep.to_dict(), str(out))
         outs[w] = (rep.to_dict(), out)
     return outs
 

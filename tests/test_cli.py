@@ -257,6 +257,23 @@ def test_fit_emits_usable_model_fragment(tmp_path, capsys):
     assert cfg.model.r_inv_dist.k == fragment["model"]["inverse_range"]["k"]
 
 
+def test_fit_drops_non_finite_records(tmp_path, capsys):
+    # -inf counts as closing (-inf < 0) and would put an infinity into
+    # ttc_lambda.table, which run refuses; NaN must not reach the fit either.
+    rows = _synthetic_rows(300, seed=41).tolist()
+    clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+    _write_csv(clean, rows)
+    _write_csv(dirty, rows + [[10.0, 12.0, 30.0, -math.inf], [10.0, 12.0, 30.0, math.nan]])
+    assert main(["fit", str(clean), "--out", str(tmp_path / "clean.yaml")]) == 0
+    capsys.readouterr()
+    assert main(["fit", str(dirty), "--out", str(tmp_path / "dirty.yaml")]) == 0
+    stdout = capsys.readouterr().out
+    assert "302 total" in stdout and "not_finite=2" in stdout
+    fragment = (tmp_path / "dirty.yaml").read_text(encoding="utf-8")
+    assert fragment == (tmp_path / "clean.yaml").read_text(encoding="utf-8")
+    parse_config({"seed": 1, **yaml.safe_load(fragment)})
+
+
 def test_fit_errors_exit_1(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["fit", str(missing), "--out", str(tmp_path / "m.yaml")]) == 1
@@ -444,6 +461,26 @@ def test_traces_are_the_drawn_scenarios(tmp_path, capsys):
             ]
     # Both modes trace something, and the cap on trace files is reached.
     assert counts["cmc"] >= 1 and counts["is"] == 20
+
+
+def test_verbose_traces_only_add_files(tmp_path, capsys):
+    cfg = _fast_config(tmp_path)
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    code = main(["run", "--config", cfg, "--out", str(plain)])
+    assert main(["run", "--config", cfg, "--out", str(traced), "--verbose-traces"]) == code
+    capsys.readouterr()
+
+    def tree(root):
+        # Directories map to None, files to their bytes.
+        return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+                for p in root.rglob("*")}
+
+    a, b = tree(plain), tree(traced)
+    assert {k: b.get(k) for k in a} == a
+    added = sorted(b.keys() - a.keys())
+    assert "scenarios_conflict_high_is.csv" in added and "traces/conflict_high_is" in added
+    for k in added:
+        assert re.fullmatch(r"scenarios_\w+\.csv|traces(/\w+(/\d{6}\.csv)?)?", k), k
 
 
 def test_empty_list_key_is_a_config_error(tmp_path, capsys):

@@ -88,6 +88,7 @@ def test_apply_filters_counts_each_rule():
         "v_l_out_of_range": 2,  # row 4 violates several rules at once
         "r_l_out_of_range": 1,
         "not_closing": 1,
+        "not_finite": 0,
     }
 
 

@@ -199,9 +199,10 @@ def test_verbose_traces_write_scenario_artifacts(tmp_path):
             "warm_start": warm,
         }
     )
-    rep = run_experiment(cfg, verbose_traces=True)
     out = tmp_path / "out"
-    write_outputs(rep.to_dict(), str(out), report=rep)
+    out.mkdir()
+    rep = run_experiment(cfg, str(out))
+    write_outputs(rep.to_dict(), str(out))
 
     log = out / "scenarios_conflict_high_is.csv"
     lines = log.read_text(encoding="utf-8").splitlines()
