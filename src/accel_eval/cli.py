@@ -21,7 +21,7 @@ import yaml
 from .config import EVENTS, MODES, ConfigError, load_config
 from .cross_entropy import CeZeroHitError
 from .ingest import build_model_section, load_events_csv, render_fit_summary
-from .runner import RunReport, read_report, run_experiment, run_search, write_outputs
+from .runner import read_report, run_experiment, run_search, write_outputs
 
 __all__ = ["main"]
 
@@ -122,9 +122,9 @@ def main(argv: list[str] | None = None) -> int:
         # cannot be a directory fails here, not after the whole run.
         os.makedirs(args.out, exist_ok=True)
         if args.command == "run":
-            d = run_experiment(cfg, args.out if args.verbose_traces else None).to_dict()
+            d = run_experiment(cfg, args.out if args.verbose_traces else None)
         elif args.command == "search":
-            d = RunReport(cfg, [], run_search(cfg), {}).to_dict()
+            d = run_search(cfg)
         write_outputs(d, args.out)
         # A stored report re-renders with exit 0, converged or not.
         bad = [r for r in d["rows"] if not r["converged"]] if args.command == "run" else []

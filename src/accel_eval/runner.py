@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .config import ExperimentConfig, config_digest
@@ -40,8 +39,6 @@ from .plant import classify_events, simulate
 from .scenario import BIN_NAME, ProposalParams, scenario_stream, stream_namespace
 
 __all__ = [
-    "EstimateRow",
-    "RunReport",
     "SUMMARY_COLUMNS",
     "run_experiment",
     "run_search",
@@ -52,54 +49,6 @@ __all__ = [
 
 _MAX_TRACE_FILES = 20  # per (event, bin, mode) combination when tracing is on
 _SCENARIO_HEADER = "index,v_l,r_inv,ttc_inv,likelihood,outcome,min_range,delta_v"
-
-
-@dataclass(frozen=True)
-class EstimateRow:
-    """One estimate with its accounting, as it appears in the report."""
-
-    event: str
-    bin: str
-    mode: str
-    estimate: float
-    ci_lo: float
-    ci_hi: float
-    rel_half_width: float | None
-    sample_variance: float
-    n: int
-    converged: bool
-    distance_m: float
-    d_acc_mi: float
-    n_nature: int | None
-    n_nature_source: str  # "actual-cmc", "predicted" or "unavailable"
-    d_nature_mi: float | None
-    r_acc: float | None
-    vartheta_r: float | None  # tilts used; None for crude Monte Carlo
-    vartheta_ttc: float | None
-
-
-@dataclass
-class RunReport:
-    cfg: ExperimentConfig
-    rows: list[EstimateRow]
-    ce: dict[str, CeState]
-    convergence: dict[str, list[tuple[int, float, float | None, float]]]
-
-    def to_dict(self) -> dict:
-        return {
-            "provenance": {
-                "config_hash": config_digest(self.cfg.resolved),
-                "seed": self.cfg.seed,
-                "version": __version__,
-            },
-            "resolved_config": self.cfg.resolved,
-            "rows": [asdict(r) for r in self.rows],
-            "ce": {key: _ce_state_dict(st) for key, st in self.ce.items()},
-            "convergence": {
-                key: [[n, est, lr, var] for (n, est, lr, var) in rows]
-                for key, rows in self.convergence.items()
-            },
-        }
 
 
 def _ce_event_for(event: str) -> str:
@@ -133,7 +82,7 @@ def _estimate_combo(
     b = cfg.model.bin_named(bin_name)
     ns = stream_namespace(f"estimate/{event}/{bin_name}/{mode}")
     total = EstimatorAccumulator()
-    conv: list[tuple[int, float, float | None, float]] = []
+    conv: list[list] = []  # [n, estimate, rel_half_width, sample_variance] per check
     seed, plant, sample = cfg.seed, cfg.plant, cfg.model.sample_scenario
     name = f"{event}_{bin_name}_{mode}"
     traced = 0
@@ -161,7 +110,7 @@ def _estimate_combo(
             if total.n < 2:
                 continue
             lr = relative_half_width(total, cfg.confidence)
-            conv.append((total.n, total.mean(), lr, total.sample_variance()))
+            conv.append([total.n, total.mean(), lr, total.sample_variance()])
             if total.n >= cfg.min_samples and lr is not None and lr < cfg.confidence.beta:
                 return total, conv, True
     return total, conv, False
@@ -176,7 +125,8 @@ def _build_row(
     converged: bool,
     params: ProposalParams | None,
     cmc_acc: EstimatorAccumulator | None,
-) -> EstimateRow:
+) -> dict:
+    """One report row: an estimate with its accounting."""
     m = acc.mean()
     s = math.sqrt(acc.sample_variance())
     hw = cfg.confidence.z_alpha * s / math.sqrt(acc.n)
@@ -196,34 +146,32 @@ def _build_row(
     if d_nature_mi is not None and d_acc_mi > 0.0:
         r_acc = d_nature_mi / d_acc_mi
 
-    return EstimateRow(
-        event=event,
-        bin=bin_name,
-        mode=mode,
-        estimate=m,
-        ci_lo=max(0.0, m - hw),
-        ci_hi=m + hw,
-        rel_half_width=relative_half_width(acc, cfg.confidence),
-        sample_variance=acc.sample_variance(),
-        n=acc.n,
-        converged=converged,
-        distance_m=acc.distance_m,
-        d_acc_mi=d_acc_mi,
-        n_nature=n_nature,
-        n_nature_source=source,
-        d_nature_mi=d_nature_mi,
-        r_acc=r_acc,
-        vartheta_r=None if params is None else params.vartheta_r,
-        vartheta_ttc=None if params is None else params.vartheta_ttc,
-    )
+    return {
+        "event": event,
+        "bin": bin_name,
+        "mode": mode,
+        "estimate": m,
+        "ci_lo": max(0.0, m - hw),
+        "ci_hi": m + hw,
+        "rel_half_width": relative_half_width(acc, cfg.confidence),
+        "sample_variance": acc.sample_variance(),
+        "n": acc.n,
+        "converged": converged,
+        "distance_m": acc.distance_m,
+        "d_acc_mi": d_acc_mi,
+        "n_nature": n_nature,
+        "n_nature_source": source,  # "actual-cmc", "predicted" or "unavailable"
+        "d_nature_mi": d_nature_mi,
+        "r_acc": r_acc,
+        # The tilts used; None for crude Monte Carlo.
+        "vartheta_r": None if params is None else params.vartheta_r,
+        "vartheta_ttc": None if params is None else params.vartheta_ttc,
+    }
 
 
-def run_search(cfg: ExperimentConfig, skip_warm: bool = False) -> dict[str, CeState]:
-    """One cross-entropy search per requested (event, bin), in config order.
-
-    Injury shares the crash search; with ``skip_warm`` a pair that has
-    warm-start tilts is not searched.
-    """
+def _search(cfg: ExperimentConfig, skip_warm: bool) -> dict[str, CeState]:
+    # One search per requested (event, bin), in config order. Injury shares
+    # the crash search; with skip_warm a warm-started pair is not searched.
     results: dict[str, CeState] = {}
     for event in cfg.events:
         ce_ev = _ce_event_for(event)
@@ -238,40 +186,56 @@ def run_search(cfg: ExperimentConfig, skip_warm: bool = False) -> dict[str, CeSt
     return results
 
 
-def run_experiment(cfg: ExperimentConfig, log_dir: str | None = None) -> RunReport:
-    """Search (unless warm-started) then estimate every combination.
+def _report(cfg: ExperimentConfig, rows: list[dict], ce: dict[str, CeState],
+            convergence: dict[str, list]) -> dict:
+    return {
+        "provenance": {
+            "config_hash": config_digest(cfg.resolved),
+            "seed": cfg.seed,
+            "version": __version__,
+        },
+        "resolved_config": cfg.resolved,
+        "rows": rows,
+        "ce": {key: _ce_state_dict(st) for key, st in ce.items()},
+        "convergence": convergence,
+    }
+
+
+def run_search(cfg: ExperimentConfig) -> dict:
+    """The report of one cross-entropy search per requested (event, bin),
+    in config order; it has no rows. Injury shares the crash search."""
+    return _report(cfg, [], _search(cfg, skip_warm=False), {})
+
+
+def run_experiment(cfg: ExperimentConfig, log_dir: str | None = None) -> dict:
+    """The report of a search (unless warm-started) and the estimation of
+    every combination, rows in config order.
 
     With ``log_dir``, an existing directory, each combination writes its
     per-scenario CSV there as it draws, and the traces of its first
     event-positive draws under ``traces/``.
     """
-    ce_results = run_search(cfg, skip_warm=True) if "is" in cfg.modes else {}
-
-    rows: list[EstimateRow] = []
+    ce = _search(cfg, skip_warm=True) if "is" in cfg.modes else {}
+    rows: list[dict] = []
     convergence: dict[str, list] = {}
     for event in cfg.events:
         for bin_name in cfg.bins:
-            accs = {}
-            flags = {}
-            tilts = {}
+            # Every mode runs before any row is built: an is row takes its
+            # n_nature from the converged cmc row, whichever mode is listed first.
+            done = {}
             for mode in cfg.modes:
                 params = None
                 if mode == "is":
                     params = _warm_params(cfg, event, bin_name)
                     if params is None:
-                        params = ce_results[f"{_ce_event_for(event)}/{bin_name}"].params
+                        params = ce[f"{_ce_event_for(event)}/{bin_name}"].params
                 acc, conv, ok = _estimate_combo(cfg, event, bin_name, mode, params, log_dir)
                 convergence[f"{event}/{bin_name}/{mode}"] = conv
-                accs[mode] = acc
-                flags[mode] = ok
-                tilts[mode] = params
-            cmc_acc = accs.get("cmc") if flags.get("cmc") else None
-            for mode in cfg.modes:
-                rows.append(
-                    _build_row(cfg, event, bin_name, mode, accs[mode], flags[mode],
-                               tilts[mode], cmc_acc)
-                )
-    return RunReport(cfg=cfg, rows=rows, ce=ce_results, convergence=convergence)
+                done[mode] = (acc, ok, params)
+            cmc_acc, cmc_ok, _ = done.get("cmc", (None, False, None))
+            rows += [_build_row(cfg, event, bin_name, mode, *done[mode],
+                                cmc_acc if cmc_ok else None) for mode in cfg.modes]
+    return _report(cfg, rows, ce, convergence)
 
 
 def _ce_state_dict(st: CeState) -> dict:
@@ -415,11 +379,17 @@ def _check_report(d, source: str) -> None:
                 raise bad(f"rows[{i}].{k}", "is not a string")
         for k in numbers:
             number(r[k], f"rows[{i}].{k}", none_ok=True)
-    # Each part of a ce or convergence key names output files, as a bin name does.
+    # Each ce or convergence key names one CSV, and each part of it names
+    # output files, as a bin name does.
+    taken = set()
     for section in ("ce", "convergence"):
         for key in mapping(d[section], section):
             if not all(BIN_NAME.fullmatch(part) for part in key.split("/")):
                 raise bad(f"{section}[{key!r}]", "has a part that is not 1 to 64 of [A-Za-z0-9_.-]")
+            name = _csv_name(section, key)
+            if name in taken:
+                raise bad(f"{section}[{key!r}]", f"names {name}, as another key does")
+            taken.add(name)
     for key, st in d["ce"].items():
         path = f"ce[{key!r}]"
         mapping(st, path, ("vartheta_r", "vartheta_ttc", "event_hits", "n_per_iter", "history"))
@@ -428,6 +398,12 @@ def _check_report(d, source: str) -> None:
         table(st["history"], f"{path}.history")
     for key, rows in d["convergence"].items():
         table(rows, f"convergence[{key!r}]")
+
+
+def _csv_name(section: str, key: str) -> str:
+    """The file that :func:`write_outputs` writes a ce or convergence key to."""
+    prefix = "ce_history_" if section == "ce" else "convergence_"
+    return prefix + key.replace("/", "_") + ".csv"
 
 
 def _csv_cell(x) -> str:
@@ -476,10 +452,8 @@ def write_outputs(d: dict, out_dir: str) -> None:
     _write(os.path.join(out_dir, "summary.txt"), render_summary(d))
     _write_json(os.path.join(out_dir, "report.json"), d)
     for key, rows in d["convergence"].items():
-        name = "convergence_" + key.replace("/", "_") + ".csv"
-        _write_csv(os.path.join(out_dir, name), "n,estimate,rel_half_width,sample_variance",
-                   map(_csv_line, rows))
+        _write_csv(os.path.join(out_dir, _csv_name("convergence", key)),
+                   "n,estimate,rel_half_width,sample_variance", map(_csv_line, rows))
     for key, st in d["ce"].items():
-        name = "ce_history_" + key.replace("/", "_") + ".csv"
-        _write_csv(os.path.join(out_dir, name), "iteration,vartheta_r,vartheta_ttc,hits,n",
-                   map(_csv_line, st["history"]))
+        _write_csv(os.path.join(out_dir, _csv_name("ce", key)),
+                   "iteration,vartheta_r,vartheta_ttc,hits,n", map(_csv_line, st["history"]))

@@ -77,10 +77,10 @@ def seed42_runs(tmp_path_factory):
     outs = {}
     for w in (1, 3):
         cfg = parse_config({**RUN_CFG, "workers": w})
-        rep = run_experiment(cfg)
+        d = run_experiment(cfg)
         out = tmp_path_factory.mktemp(f"workers{w}")
-        write_outputs(rep.to_dict(), str(out))
-        outs[w] = (rep.to_dict(), out)
+        write_outputs(d, str(out))
+        outs[w] = (d, out)
     return outs
 
 
@@ -182,10 +182,10 @@ def test_a4_crude_and_weighted_estimates_agree():
                 "cross_entropy": {"iterations": 5, "n_per_iter": {"conflict": 100}},
             }
         )
-        rows = {r.mode: r for r in run_experiment(cfg).rows}
+        rows = {r["mode"]: r for r in run_experiment(cfg)["rows"]}
         c, i = rows["cmc"], rows["is"]
-        overlaps.append(max(c.ci_lo, i.ci_lo) <= min(c.ci_hi, i.ci_hi))
-        details.append(f"seed {seed}: cmc {c.estimate:.4g} is {i.estimate:.4g}")
+        overlaps.append(max(c["ci_lo"], i["ci_lo"]) <= min(c["ci_hi"], i["ci_hi"]))
+        details.append(f"seed {seed}: cmc {c['estimate']:.4g} is {i['estimate']:.4g}")
     elapsed = time.perf_counter() - t0
     ok = all(overlaps) and elapsed < 60.0
     _report(

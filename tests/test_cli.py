@@ -336,6 +336,10 @@ def test_report_rejects_a_file_that_is_not_a_run_report(tmp_path, capsys, conten
     assert not out.exists()
 
 
+# A valid stored search state.
+_STATE = {"vartheta_r": 0.0, "vartheta_ttc": 0.0, "event_hits": 1, "n_per_iter": 2,
+          "history": [[0, 0.0, 0.0, 1, 2]]}
+
 # Every key of a stored row that the summary reads.
 ROW_KEYS = [k for _, k, _ in SUMMARY_COLUMNS] + ["n_nature_source"]
 
@@ -361,9 +365,15 @@ def _without_row_key(key):
     # Each part of a key names a file, so a NUL in one would fail mid-write.
     ({"convergence": {"conflict/a\u0000b/is": []}},
      r"convergence['conflict/a\x00b/is'] has a part that is not"),
+    # Each key names one CSV; a second key naming it would overwrite the first's.
+    ({"convergence": {"conflict/a_b/is": [[200, 0.5, 0.1, 0.25]], "conflict_a/b/is": []}},
+     "convergence['conflict_a/b/is'] names convergence_conflict_a_b_is.csv, as another key does"),
+    ({"ce": {"crash/a_b": _STATE, "crash_a/b": _STATE}},
+     "ce['crash_a/b'] names ce_history_crash_a_b.csv, as another key does"),
     *((_without_row_key(k), f"rows[0] has no {k!r} key") for k in ROW_KEYS),
 ], ids=["empty-resolved-config", "convergence-not-a-mapping", "row-without-keys", "nan",
         "int-past-float-range", "float-past-float-range", "nul-in-key",
+        "two-convergence-keys-one-file", "two-ce-keys-one-file",
         *(f"row-without-{k}" for k in ROW_KEYS)])
 def test_report_checks_values_before_writing(tmp_path, capsys, change, where):
     """``change`` is merged into the stored report, or edits its text when callable."""

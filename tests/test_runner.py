@@ -10,7 +10,6 @@ from accel_eval.config import parse_config
 from accel_eval.estimation import MILE_M, required_n_cmc
 from accel_eval.plant import simulate
 from accel_eval.runner import (
-    RunReport,
     render_summary,
     run_experiment,
     run_search,
@@ -30,7 +29,7 @@ FAST = {
 
 
 def _rows_by_mode(report):
-    return {r.mode: r for r in report.rows}
+    return {r["mode"]: r for r in report["rows"]}
 
 
 def test_row_accounting_is_coherent():
@@ -39,38 +38,52 @@ def test_row_accounting_is_coherent():
     rows = _rows_by_mode(rep)
     assert set(rows) == {"cmc", "is"}
     for r in rows.values():
-        assert 0.0 <= r.ci_lo <= r.estimate <= r.ci_hi
-        assert r.n >= cfg.min_samples
-        assert r.converged
-        assert r.d_acc_mi == r.distance_m / MILE_M
-        assert r.n_nature_source == "actual-cmc"
-        assert r.d_nature_mi == cfg.r_lc * r.n_nature
-        assert r.r_acc == r.d_nature_mi / r.d_acc_mi
+        assert 0.0 <= r["ci_lo"] <= r["estimate"] <= r["ci_hi"]
+        assert r["n"] >= cfg.min_samples
+        assert r["converged"]
+        assert r["d_acc_mi"] == r["distance_m"] / MILE_M
+        assert r["n_nature_source"] == "actual-cmc"
+        assert r["d_nature_mi"] == cfg.r_lc * r["n_nature"]
+        assert r["r_acc"] == r["d_nature_mi"] / r["d_acc_mi"]
     # Both modes convert the same physical exposure: the cmc row's sample
     # count is what the is row reports as its natural-driving equivalent.
-    assert rows["is"].n_nature == rows["cmc"].n
-    assert rows["cmc"].vartheta_r is None and rows["cmc"].vartheta_ttc is None
-    state = rep.ce["conflict/high"]
-    assert rows["is"].vartheta_r == state.params.vartheta_r
-    assert rows["is"].vartheta_ttc == state.params.vartheta_ttc
+    assert rows["is"]["n_nature"] == rows["cmc"]["n"]
+    assert rows["cmc"]["vartheta_r"] is None and rows["cmc"]["vartheta_ttc"] is None
+    state = rep["ce"]["conflict/high"]
+    assert rows["is"]["vartheta_r"] == state["vartheta_r"]
+    assert rows["is"]["vartheta_ttc"] == state["vartheta_ttc"]
     # Acceleration requires fewer accelerated miles than natural ones.
-    assert rows["is"].r_acc > 1.0
+    assert rows["is"]["r_acc"] > 1.0
 
-    for key, conv in rep.convergence.items():
+    for key, conv in rep["convergence"].items():
         ns = [n for n, _, _, _ in conv]
         assert ns == [cfg.check_every * (i + 1) for i in range(len(ns))]
-    assert rep.convergence["conflict/high/is"][-1][0] == rows["is"].n
-    assert rep.convergence["conflict/high/cmc"][-1][0] == rows["cmc"].n
+    assert rep["convergence"]["conflict/high/is"][-1][0] == rows["is"]["n"]
+    assert rep["convergence"]["conflict/high/cmc"][-1][0] == rows["cmc"]["n"]
+
+
+def test_is_listed_before_cmc_still_takes_the_cmc_count():
+    # Every mode of an (event, bin) runs before its rows are built, so an
+    # is row listed first still reads the converged cmc row's count.
+    cfg = parse_config({**FAST, "modes": ["is", "cmc"]})
+    rep = run_experiment(cfg)
+    assert [r["mode"] for r in rep["rows"]] == ["is", "cmc"]
+    rows = _rows_by_mode(rep)
+    assert rows["cmc"]["converged"]
+    assert rows["is"]["n_nature_source"] == "actual-cmc"
+    assert rows["is"]["n_nature"] == rows["cmc"]["n"]
+    # The order of the modes changes no row: each draws on its own stream.
+    assert rep["rows"][::-1] == run_experiment(parse_config(dict(FAST)))["rows"]
 
 
 def test_is_only_predicts_natural_sample_count():
     cfg = parse_config({**FAST, "modes": ["is"], "seed": 7})
     rep = run_experiment(cfg)
-    (row,) = rep.rows
-    assert row.mode == "is"
-    assert row.n_nature_source == "predicted"
-    assert row.n_nature == required_n_cmc(row.estimate, cfg.confidence)
-    assert row.r_acc == (cfg.r_lc * row.n_nature) / row.d_acc_mi
+    (row,) = rep["rows"]
+    assert row["mode"] == "is"
+    assert row["n_nature_source"] == "predicted"
+    assert row["n_nature"] == required_n_cmc(row["estimate"], cfg.confidence)
+    assert row["r_acc"] == (cfg.r_lc * row["n_nature"]) / row["d_acc_mi"]
 
 
 def test_zero_estimate_has_no_natural_equivalent():
@@ -86,13 +99,13 @@ def test_zero_estimate_has_no_natural_equivalent():
         }
     )
     rep = run_experiment(cfg)  # untilted proposal: no crashes here
-    (row,) = rep.rows
-    assert row.estimate == 0.0
-    assert not row.converged
-    assert row.n == cfg.n_cap
-    assert row.n_nature is None and row.n_nature_source == "unavailable"
-    assert row.d_nature_mi is None and row.r_acc is None
-    assert rep.ce == {}
+    (row,) = rep["rows"]
+    assert row["estimate"] == 0.0
+    assert not row["converged"]
+    assert row["n"] == cfg.n_cap
+    assert row["n_nature"] is None and row["n_nature_source"] == "unavailable"
+    assert row["d_nature_mi"] is None and row["r_acc"] is None
+    assert rep["ce"] == {}
 
 
 def test_warm_start_skips_the_search():
@@ -101,10 +114,10 @@ def test_warm_start_skips_the_search():
         {**FAST, "modes": ["is"], "warm_start": warm, "seed": 11}
     )
     rep = run_experiment(cfg)
-    assert rep.ce == {}
-    (row,) = rep.rows
-    assert row.vartheta_r == -0.11
-    assert row.vartheta_ttc == -0.015
+    assert rep["ce"] == {}
+    (row,) = rep["rows"]
+    assert row["vartheta_r"] == -0.11
+    assert row["vartheta_ttc"] == -0.015
 
 
 def test_injury_estimation_reuses_crash_proposal():
@@ -121,9 +134,9 @@ def test_injury_estimation_reuses_crash_proposal():
         }
     )
     rep = run_experiment(cfg)
-    assert rep.ce == {}
-    (row,) = rep.rows
-    assert row.vartheta_r == 0.001 and row.vartheta_ttc == -0.55
+    assert rep["ce"] == {}
+    (row,) = rep["rows"]
+    assert row["vartheta_r"] == 0.001 and row["vartheta_ttc"] == -0.55
     # Injuries are severity-weighted crashes, so the rate cannot exceed
     # the crash rate under the same proposal and stream.
     crash_cfg = parse_config(
@@ -138,7 +151,7 @@ def test_injury_estimation_reuses_crash_proposal():
         }
     )
     crash_rep = run_experiment(crash_cfg)
-    assert row.estimate <= crash_rep.rows[0].estimate
+    assert row["estimate"] <= crash_rep["rows"][0]["estimate"]
 
 
 def test_search_deduplicates_injury_and_crash():
@@ -151,9 +164,7 @@ def test_search_deduplicates_injury_and_crash():
             "cross_entropy": {"iterations": 2, "n_per_iter": {"crash": 200}},
         }
     )
-    results = run_search(cfg)
-    assert list(results) == ["crash/low"]
-    d = RunReport(cfg, [], results, {}).to_dict()
+    d = run_search(cfg)
     assert d["provenance"]["seed"] == 2
     assert list(d["ce"]) == ["crash/low"]
     assert len(d["ce"]["crash/low"]["history"]) == 2
@@ -163,8 +174,7 @@ def test_outputs_are_reproducible_and_round_trip(tmp_path):
     # Two bins whose run order is not their sorted order: the fresh and the
     # re-rendered summary both list the tilts in sorted key order.
     cfg = parse_config({**FAST, "n_cap": 800, "seed": 21, "bins": ["medium", "high"]})
-    rep = run_experiment(cfg)
-    d = rep.to_dict()
+    d = run_experiment(cfg)
     a, b = tmp_path / "a", tmp_path / "b"
     write_outputs(d, str(a))
     write_outputs(d, str(b))
@@ -202,12 +212,12 @@ def test_verbose_traces_write_scenario_artifacts(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     rep = run_experiment(cfg, str(out))
-    write_outputs(rep.to_dict(), str(out))
+    write_outputs(rep, str(out))
 
     log = out / "scenarios_conflict_high_is.csv"
     lines = log.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "index,v_l,r_inv,ttc_inv,likelihood,outcome,min_range,delta_v"
-    assert len(lines) == 1 + rep.rows[0].n
+    assert len(lines) == 1 + rep["rows"][0]["n"]
     # Each line is built at draw time; it must be the bytes rebuilt from that draw.
     b = cfg.model.bin_named("high")
     params = ProposalParams(-0.11, -0.015, "high")
@@ -241,7 +251,7 @@ def test_search_outputs_files(tmp_path):
             "cross_entropy": {"iterations": 2, "n_per_iter": {"conflict": 150}},
         }
     )
-    d = RunReport(cfg, [], run_search(cfg), {}).to_dict()
+    d = run_search(cfg)
     out = tmp_path / "search"
     write_outputs(d, str(out))
     assert (out / "report.json").exists()
@@ -257,8 +267,7 @@ def test_search_outputs_files(tmp_path):
 def test_json_outputs_refuse_non_finite_numbers(tmp_path):
     # report.json is strict JSON: a NaN or infinity is an error at write
     # time, not an "NaN"/"Infinity" token in the file.
-    cfg = parse_config({"seed": 8})
-    d = RunReport(cfg, [], {}, {}).to_dict()
+    d = run_experiment(parse_config({**FAST, "modes": ["cmc"], "n_cap": 400}))
     d["resolved_config"]["r_lc"] = math.nan
     with pytest.raises(ValueError, match="JSON compliant"):
         write_outputs(d, str(tmp_path / "run"))
