@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ import yaml
 from .distributions import EmpiricalDist, TruncatedPareto
 from .estimation import ConfidenceSpec, InjuryModel
 from .plant import AvConfig
-from .scenario import STREAM_INDICES, ProposalParams, ScenarioModel, VelocityBin
+from .scenario import STREAM_INDICES, ProposalParams, ScenarioModel, VelocityBin, sha256
 
 __all__ = [
     "EVENTS",
@@ -406,4 +405,4 @@ def load_config(path: str, overrides: dict[str, Any] | None = None) -> Experimen
 def config_digest(resolved: dict[str, Any]) -> str:
     """sha256 over the canonical JSON encoding of the resolved settings."""
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()

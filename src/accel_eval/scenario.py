@@ -5,19 +5,21 @@ TTC ttc_inv) drawn at the moment the lead vehicle crosses the lane line.
 The lead speed keeps its empirical law under every proposal; only the
 two inverse laws are tilted.  Likelihood ratios therefore reduce to the
 product of the two single-variable density ratios.
+
+Each scenario is drawn from four uniforms, one Philox4x64-10 block that
+:func:`scenario_stream` computes with Python integers from (seed,
+namespace, index); no numpy bit generator is involved.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
+import operator
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .distributions import (
     EmpiricalDist,
@@ -27,6 +29,14 @@ from .distributions import (
     lsq_exponential_of_pareto,
     tilt_exponential,
 )
+
+try:  # sha256 without loading OpenSSL, as random.py takes its sha512
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "BIN_NAME",
@@ -107,54 +117,53 @@ def derive_kinematics(v_l: float, r_inv: float, ttc_inv: float) -> tuple[float, 
 
 def stream_namespace(label: str) -> int:
     """Stable 32-bit namespace id for a stream label such as ``"ce/crash/low"``."""
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    digest = sha256(label.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big")
 
 
-@cache
-def _philox_key_type() -> type:
-    """Seed-sequence class that hands Philox its key and draws no entropy.
+# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments.
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_U64 = (1 << 64) - 1
 
-    ``Philox(key=seed)`` first builds a default ``SeedSequence()`` from OS
-    entropy and then discards it; given a seed sequence instead, Philox
-    takes its key from ``generate_state(2, uint64)``.  numpy refuses any
-    object that does not subclass ``ISeedSequence``, whose module loads
-    ``numpy.random``, so the class is made on first use: importing this
-    module and loading a config stay without ``numpy.random``.
+
+@lru_cache(maxsize=16)
+def _philox_round_keys(seed: int) -> tuple[tuple[int, int], ...]:
+    """The ten round keys of the Philox key (seed, 0)."""
+    return tuple(((seed + r * _PHILOX_W0) & _U64, (r * _PHILOX_W1) & _U64) for r in range(10))
+
+
+def _checked_int(name: str, value, bits: int) -> int:
+    """``value`` as an int in [0, 2**bits); bools and non-integers are refused."""
+    try:
+        v = -1 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        v = -1
+    if not 0 <= v < 1 << bits:
+        raise ValueError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
+    return v
+
+
+def scenario_stream(seed: int, index: int, namespace: int = 0) -> tuple[float, float, float, float]:
+    """The four uniforms of scenario ``index``: one Philox4x64-10 block.
+
+    Each (namespace, index) pair owns a counter of the Philox cipher
+    keyed by ``seed``, so draws do not depend on how many scenarios run
+    concurrently or in what order.  The block is computed on Python
+    integers and is, bit for bit, the first four doubles of numpy's
+    ``Philox(key=seed, counter=((namespace << 32) | index) << 64)``,
+    whose counter's low word is bumped to 1 before its first block.
     """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PhiloxKey(ISeedSequence):
-        __slots__ = ("seed",)
-
-        def __init__(self, seed: int):
-            self.seed = seed
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # The two 64-bit key words that ``key=seed`` sets (seed < 2**64).
-            return np.array((self.seed, 0), dtype=dtype)
-
-    return PhiloxKey
-
-
-def scenario_stream(seed: int, index: int, namespace: int = 0) -> np.random.Generator:
-    """Independent counter-based stream for scenario ``index``.
-
-    Each (namespace, index) pair owns a disjoint counter block of the
-    Philox cipher keyed by ``seed``, so draws do not depend on how many
-    scenarios run concurrently or in what order.  The stream is the one
-    of ``Philox(key=seed, counter=...)``, built without seeding entropy.
-    """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    if index < 0 or index >= STREAM_INDICES:
-        raise ValueError(f"index out of range: {index}")
-    if namespace < 0 or namespace >= STREAM_INDICES:
-        raise ValueError(f"namespace out of range: {namespace}")
-    # Philox's counter is four 64-bit words, low word first; the block of
-    # (namespace, index) is the integer ((namespace << 32) | index) << 64.
-    counter = np.array((0, (namespace << 32) | index, 0, 0), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_philox_key_type()(seed), counter=counter))
+    seed = _checked_int("seed", seed, 64)
+    index = _checked_int("index", index, 32)
+    namespace = _checked_int("namespace", namespace, 32)
+    c0, c1, c2, c3 = 1, (namespace << 32) | index, 0, 0
+    for k0, k1 in _philox_round_keys(seed):
+        p0 = _PHILOX_M0 * c0
+        p1 = _PHILOX_M1 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _U64, (p0 >> 64) ^ c3 ^ k1, p0 & _U64
+    # numpy's random(): the top 53 bits of each word, scaled to [0, 1).
+    return (c0 >> 11) * 2**-53, (c1 >> 11) * 2**-53, (c2 >> 11) * 2**-53, (c3 >> 11) * 2**-53
 
 
 class ScenarioModel:
@@ -269,16 +278,18 @@ class ScenarioModel:
     def sample_scenario(
         self,
         bin_range: VelocityBin,
-        rng: np.random.Generator,
+        u: tuple[float, float, float, float],
         proposal: ProposalParams | None = None,
     ) -> ScenarioSample:
         """Draw one scenario, under the original law or a tilted proposal.
 
-        Exactly four uniforms are consumed, in a fixed order, so a
-        scenario is fully determined by its stream.
+        ``u`` holds the four uniforms of the scenario's stream, as
+        :func:`scenario_stream` returns them: lead-speed bin, position in
+        that bin, inverse range and inverse TTC, in that order.  The
+        scenario is fully determined by them.
         """
         # Python floats, so that each law computes on floats.
-        u_bin, u_pos, u_r, u_ttc = rng.random(4).tolist()
+        u_bin, u_pos, u_r, u_ttc = u
         v_l = self.v_dist.sample_in_range(bin_range.lo, bin_range.hi, u_bin, u_pos)
         lam = self.lambda_ttc(v_l)
         ttc_law = TruncatedExponential(lam, 0.0, math.inf)

@@ -451,14 +451,24 @@ def test_lsq_surrogate_beats_nearby_means(k, sigma, hi):
 def test_run_path_loads_no_scipy(tmp_path):
     # scipy is a test dependency only: importing the CLI and parsing a
     # config, which `run`, `search` and `report` do, and the
-    # `fit` subcommand must all run without loading it.  Set-up (import
-    # plus config) loads no numpy.random either; streams load it on first
-    # use, which keeps the benchmark's `setup_s` and peak RSS down.
+    # `fit` subcommand must all run without loading it.  Nor does a
+    # `run`, cross-entropy search included, load numpy.random or
+    # OpenSSL's _hashlib: streams are computed with Python integers and
+    # sha256 comes from the built-in module, which keeps the
+    # benchmark's `setup_s` and peak RSS down.
     config = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
     data = tmp_path / "events.csv"
     _write_csv(data, _synthetic_rows(300, seed=41))
+    small = tmp_path / "small.yaml"
+    small.write_text("seed: 1\nevents: [conflict]\nbins: [low]\nmodes: [cmc, is]\nn_cap: 500\n")
+    no_rng = ("scipy", "numpy.random", "_hashlib")
     cases = {
-        "config": (f"accel_eval.load_config({str(config)!r})", ("scipy", "numpy.random")),
+        "config": (f"accel_eval.load_config({str(config)!r})", no_rng),
+        "run": (
+            f"accel_eval.cli.main(['run', '--config', {str(small)!r}, "
+            f"'--out', {str(tmp_path / 'run')!r}])",
+            no_rng,
+        ),
         "fit": (
             f"accel_eval.cli.main(['fit', {str(data)!r}, '--out', {str(tmp_path / 'm.yaml')!r}])",
             ("scipy",),
@@ -474,6 +484,31 @@ def test_run_path_loads_no_scipy(tmp_path):
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip().splitlines()[-1] == "[]", name
+    assert (tmp_path / "run" / "report.json").is_file()
+
+
+def test_sha256_falls_back_to_hashlib():
+    # Without CPython's built-in _sha256/_sha2 modules, stream ids and
+    # the config digest come from hashlib and are the same.
+    code = (
+        "import sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "import hashlib, accel_eval\n"
+        "from accel_eval.config import config_digest\n"
+        "from accel_eval.scenario import sha256, stream_namespace\n"
+        "assert sha256 is hashlib.sha256, sha256\n"
+        "assert stream_namespace('ce/crash/low') == 2798692117\n"
+        "assert stream_namespace('estimate/conflict/high/is') == 2358502908\n"
+        "resolved = {'seed': 1, 'bins': ['low'], 'x': 0.5}\n"
+        "want = hashlib.sha256(b'{\"bins\":[\"low\"],\"seed\":1,\"x\":0.5}').hexdigest()\n"
+        "assert config_digest(resolved) == want\n"
+        "print('ok')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(accel_eval.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "ok"
 
 
 def test_empirical_dist_masses_and_ranges():

@@ -75,54 +75,54 @@ def test_stream_namespace_is_stable():
 
 
 def test_scenario_stream_determinism_and_disjointness():
-    a1 = scenario_stream(7, 3, 5).random(4)
-    a2 = scenario_stream(7, 3, 5).random(4)
-    assert np.all(a1 == a2)
-    assert not np.all(a1 == scenario_stream(7, 4, 5).random(4))
-    assert not np.all(a1 == scenario_stream(7, 3, 6).random(4))
-    assert not np.all(a1 == scenario_stream(8, 3, 5).random(4))
+    a = scenario_stream(7, 3, 5)
+    assert type(a) is tuple and len(a) == 4 and all(type(x) is float for x in a)
+    assert all(0.0 <= x < 1.0 for x in a)
+    assert scenario_stream(7, 3, 5) == a
+    assert scenario_stream(7, 4, 5) != a
+    assert scenario_stream(7, 3, 6) != a
+    assert scenario_stream(8, 3, 5) != a
 
 
 def test_scenario_stream_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="index"):
         scenario_stream(1, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="index"):
         scenario_stream(1, 1 << 32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="namespace"):
         scenario_stream(1, 0, 1 << 32)
     # A seed is an integer in [0, 2**64), the range the config enforces;
     # 1.5 and True must not silently become seed 1.
     for seed in (1.5, True, np.float64(1.0), np.True_, -1, 1 << 64, 1 << 128):
         with pytest.raises(ValueError, match="seed"):
             scenario_stream(seed, 0)
-    assert scenario_stream(np.uint64(7), 3).random() == scenario_stream(7, 3).random()
+    # Index and namespace are held to the same rule: True is not 1.
+    for bad in (True, False, np.True_, 1.0, 1.5, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="index"):
+            scenario_stream(1, bad)
+        with pytest.raises(ValueError, match="namespace"):
+            scenario_stream(1, 0, bad)
+    # numpy integers give the stream of the equal Python int; a uint32
+    # namespace must not wrap when shifted into the counter word.
+    assert scenario_stream(np.uint64(7), 3) == scenario_stream(7, 3)
+    ns = (1 << 31) + 5
+    want = scenario_stream(7, 3, ns)
+    assert scenario_stream(7, np.uint32(3), np.uint32(ns)) == want
+    assert scenario_stream(np.int64(7), np.int64(3), np.int64(ns)) == want
+
+
+def _keyed_philox(seed, index, ns):
+    """The first four doubles of numpy's Philox keyed by ``seed`` at the stream's counter."""
+    keyed = np.random.Philox(key=int(seed), counter=((ns << 32) | index) << 64)
+    return np.random.Generator(keyed).random(4)
 
 
 def test_scenario_stream_is_the_keyed_philox():
-    # Nine uniforms cross Philox's 4-word output blocks.
     for seed in (0, 1, 1 << 63, (1 << 64) - 1):
         for index in (0, 1, (1 << 32) - 1):
             for ns in (0, (1 << 32) - 1):
-                keyed = np.random.Philox(key=seed, counter=((ns << 32) | index) << 64)
-                expected = np.random.Generator(keyed).random(9)
-                got = scenario_stream(seed, index, ns).random(9)
-                assert got.tobytes() == expected.tobytes(), (seed, index, ns)
-    # Each call returns a fresh generator: drawing from one leaves the
-    # other where it was.
-    a, b = scenario_stream(3, 5, 7), scenario_stream(3, 5, 7)
-    assert a is not b and a.bit_generator is not b.bit_generator
-    first = scenario_stream(3, 5, 7).random()
-    a.random(3)
-    assert b.random() == first
-
-
-def _plain(state):
-    """A bit generator's state with its arrays as (dtype, values), comparable with ``==``."""
-    if isinstance(state, dict):
-        return {k: _plain(v) for k, v in state.items()}
-    if isinstance(state, np.ndarray):
-        return (state.dtype.str, state.tolist())
-    return state
+                got = np.array(scenario_stream(seed, index, ns))
+                assert got.tobytes() == _keyed_philox(seed, index, ns).tobytes(), (seed, index, ns)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -130,12 +130,10 @@ def _plain(state):
        index=st.integers(0, (1 << 32) - 1),
        ns=st.integers(0, (1 << 32) - 1))
 def test_scenario_stream_counter_words_are_the_integer_counter(seed, index, ns):
-    # The four counter words are the ones numpy splits the integer
-    # counter into: the whole state and the uniforms agree bit for bit.
-    keyed = np.random.Philox(key=int(seed), counter=((ns << 32) | index) << 64)
-    got = scenario_stream(seed, index, ns)
-    assert _plain(got.bit_generator.state) == _plain(keyed.state)
-    assert got.random(9).tobytes() == np.random.Generator(keyed).random(9).tobytes()
+    # The counter words are the ones numpy splits the integer counter
+    # into, and the uniforms agree with its keyed Philox bit for bit.
+    got = np.array(scenario_stream(seed, index, ns))
+    assert got.tobytes() == _keyed_philox(seed, index, ns).tobytes()
 
 
 def test_lambda_ttc_interpolation_and_floor():
@@ -260,12 +258,18 @@ def test_proposal_tilts_shift_sampled_laws():
 
 
 def test_four_uniforms_per_scenario():
-    # The sampler must consume exactly four uniforms so streams stay aligned.
+    # The sampler reads exactly the four uniforms it is given, and each
+    # of them: the sample is a function of those four floats alone.
     m = make_model()
     b = m.bin_named("low")
-    rng = scenario_stream(17, 0, 0)
-    m.sample_scenario(b, rng)
-    after = rng.random()
-    rng2 = scenario_stream(17, 0, 0)
-    expected = rng2.random(5)[4]
-    assert after == expected
+    prop = ProposalParams(-0.05, -0.02, "low")
+    u = scenario_stream(17, 0, 0)
+    for p in (None, prop):
+        s = m.sample_scenario(b, u, p)
+        assert m.sample_scenario(b, list(u), p) == s
+        for short_or_long in (u[:3], u + (0.5,)):
+            with pytest.raises(ValueError):
+                m.sample_scenario(b, short_or_long, p)
+        for k in range(4):
+            moved = u[:k] + (u[k] * 0.5 + 0.25,) + u[k + 1:]
+            assert m.sample_scenario(b, moved, p) != s, (p, k)
