@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 2 when a requested estimate did not converge
-within its sample cap or the cross-entropy search aborted, 1 for
+Exit codes: 0 on success; 2 when ``run`` or ``search`` wrote its report
+but an estimate did not converge within its sample cap or a
+cross-entropy search drew no hit in its last iteration; 1 for
 configuration, data or usage errors.
 """
 
@@ -19,7 +20,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import yaml
 
 from .config import EVENTS, MODES, ConfigError, load_config
-from .cross_entropy import CeZeroHitError
 from .ingest import build_model_section, load_events_csv, render_fit_summary
 from .runner import read_report, run_experiment, run_search, write_outputs
 
@@ -126,20 +126,21 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "search":
             d = run_search(cfg)
         write_outputs(d, args.out)
-        # A stored report re-renders with exit 0, converged or not.
-        bad = [r for r in d["rows"] if not r["converged"]] if args.command == "run" else []
-        for r in bad:
-            hw = r["rel_half_width"]
-            print(
-                f"warning: {r['event']}/{r['bin']}/{r['mode']} not converged at "
-                f"n={r['n']} (rel half-width {'-' if hw is None else f'{hw:.3g}'})",
-                file=sys.stderr,
-            )
+        # A stored report re-renders with exit 0, whatever it holds.
+        bad = []
+        if args.command != "report":
+            bad += [f"{key} cross-entropy search aborted: no hit in the last of its "
+                    f"{len(st['history'])} iterations of {st['n_per_iter']} draws"
+                    for key, st in d["ce"].items() if st["event_hits"] == 0]
+            for r in d["rows"]:
+                if not r["converged"]:
+                    hw = r["rel_half_width"]
+                    bad.append(f"{r['event']}/{r['bin']}/{r['mode']} not converged at n={r['n']} "
+                               f"(rel half-width {'-' if hw is None else f'{hw:.3g}'})")
+        for line in bad:
+            print(f"warning: {line}", file=sys.stderr)
         print(f"wrote {os.path.join(args.out, 'summary.txt')}")
         return 2 if bad else 0
-    except CeZeroHitError as e:
-        print(f"cross-entropy search aborted: {e}", file=sys.stderr)
-        return 2
     except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -5,7 +5,9 @@ them, and re-weights event hits by their likelihood ratio.  Because the
 proposals are exponentially tilted exponentials, the KL-optimal update
 has closed form: the new tilt is the weighted mean of (mean - sample)
 over hits.  Tilts start at zero (the untilted surrogate family) and are
-clamped to keep every proposal mean strictly positive.
+clamped to keep every proposal mean strictly positive.  A search always
+runs all its iterations; one whose last iteration saw no hit has failed,
+and says so by ``event_hits == 0``, never by raising.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .plant import AvConfig, classify_events, simulate
 from .scenario import ProposalParams, ScenarioModel, scenario_stream, stream_namespace
 
 __all__ = [
-    "CeZeroHitError",
     "CeIterate",
     "CeState",
     "weighted_tilt_update",
@@ -27,11 +28,6 @@ __all__ = [
 
 CE_EVENTS = ("conflict", "crash")
 _MARGIN = 0.01  # clamped tilts stay this fraction of their cap inside it
-_MAX_ZERO_ITERS = 3  # consecutive iterations without hits before a search aborts
-
-
-class CeZeroHitError(RuntimeError):
-    """The search saw no event hits for several consecutive iterations."""
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,10 @@ class CeIterate:
 
 @dataclass(frozen=True)
 class CeState:
-    """Final search state; ``history`` has one entry per iteration."""
+    """Final search state; ``history`` has one entry per iteration.
+
+    ``event_hits`` counts the last iteration's hits; 0 marks a failed search.
+    """
 
     params: ProposalParams
     n_per_iter: int
@@ -84,12 +83,10 @@ def ce_search(
     iterations: int,
     seed: int,
 ) -> CeState:
-    """Iterate the closed-form update on simulated batches.
+    """Iterate the closed-form update on simulated batches, ``iterations`` times.
 
-    An iteration without hits leaves the proposal unchanged; after
-    ``_MAX_ZERO_ITERS`` consecutive empty iterations the search aborts
-    with :class:`CeZeroHitError` rather than keep burning samples on an
-    unreachable event.
+    An iteration without hits leaves the proposal unchanged.  The search
+    failed if its last iteration saw no hit (``event_hits == 0``).
     """
     if event not in CE_EVENTS:
         raise ValueError(f"event must be one of {CE_EVENTS}, got {event!r}")
@@ -103,8 +100,6 @@ def ce_search(
     sample = model.sample_scenario
     params = ProposalParams(0.0, 0.0, bin_name)
     history: list[CeIterate] = []
-    zero_run = 0
-    hits = 0
     for it in range(1, iterations + 1):
         r_inv: list[float] = []
         ttc_inv: list[float] = []
@@ -119,18 +114,7 @@ def ce_search(
             lam_ttc.append(s.lambda_ttc)
             w.append(s.likelihood if hit else 0.0)
             hits += hit
-        if hits == 0:
-            zero_run += 1
-            if zero_run >= _MAX_ZERO_ITERS:
-                raise CeZeroHitError(
-                    f"{event}/{bin_name}: no hits in {_MAX_ZERO_ITERS} consecutive "
-                    f"iterations of {n_per_iter} samples (stopped at iteration {it} "
-                    f"with tilts vartheta_r={params.vartheta_r}, "
-                    f"vartheta_ttc={params.vartheta_ttc}); the event may be "
-                    f"unreachable from the current proposal or n_per_iter too small"
-                )
-        else:
-            zero_run = 0
+        if hits:
             params = ProposalParams(
                 weighted_tilt_update(r_inv, lam_r, w, lam_r),
                 weighted_tilt_update(ttc_inv, lam_ttc, w, lam_cap),

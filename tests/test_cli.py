@@ -211,26 +211,89 @@ def test_search_writes_tilt_artifacts(tmp_path, capsys):
 
 def test_search_abort_exits_2(tmp_path, capsys):
     # Ranges pinned to 70-75 m cannot close within a 0.2 s horizon, so
-    # the crash search never sees a hit and gives up.
-    cfg = _config_file(
-        tmp_path,
-        {
-            "seed": 4,
-            "events": ["crash"],
-            "bins": ["high"],
-            "modes": ["is"],
-            "model": {
-                "inverse_range": {
-                    "k": 0.02, "sigma": 0.0205,
-                    "theta": 1 / 75, "lo": 1 / 75, "hi": 1 / 70,
-                }
+    # the crash search never sees a hit. It runs all its iterations and
+    # is written like any other. Two empty iterations never made three
+    # in a row, so that search once exited 0 with untilted tilts.
+    for iterations in (2, 5):
+        cfg = _config_file(
+            tmp_path,
+            {
+                "seed": 4,
+                "events": ["crash"],
+                "bins": ["high"],
+                "modes": ["is"],
+                "model": {
+                    "inverse_range": {
+                        "k": 0.02, "sigma": 0.0205,
+                        "theta": 1 / 75, "lo": 1 / 75, "hi": 1 / 70,
+                    }
+                },
+                "plant": {"t_lc_max": 0.2},
+                "cross_entropy": {"iterations": iterations, "n_per_iter": {"crash": 20}},
             },
-            "plant": {"t_lc_max": 0.2},
-            "cross_entropy": {"iterations": 5, "n_per_iter": {"crash": 20}},
-        },
-    )
-    assert main(["search", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "aborted" in capsys.readouterr().err
+        )
+        out, again = tmp_path / f"out{iterations}", tmp_path / f"again{iterations}"
+        assert main(["search", "--config", cfg, "--out", str(out)]) == 2
+        assert "warning: crash/high cross-entropy search aborted" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        st = report["ce"]["crash/high"]
+        assert st["event_hits"] == 0 and [h[3] for h in st["history"]] == [0] * iterations
+        assert main(["report", str(out), "--out", str(again)]) == 0
+        assert "aborted" not in capsys.readouterr().err
+        files = sorted(p.name for p in out.iterdir())
+        assert files == sorted(p.name for p in again.iterdir())
+        for name in files:
+            assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_search_recovers_after_three_empty_iterations(tmp_path, capsys):
+    # conflict/high at seed 110 sees no hit in iterations 1-3, then finds
+    # the event; a search that stopped after three empty iterations lost it.
+    out = tmp_path / "out"
+    default = str(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+    argv = ["search", "--config", default, "--event", "conflict",
+            "--bin", "high", "--seed", "110", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    st = json.loads((out / "report.json").read_text(encoding="utf-8"))["ce"]["conflict/high"]
+    assert [h[3] for h in st["history"][:3]] == [0, 0, 0]
+    assert st["event_hits"] > 0
+
+
+def test_a_failed_search_keeps_every_row_of_a_run(tmp_path, capsys):
+    # At seed 17 and 3 iterations of 50 draws, the crash searches of low
+    # and medium find crashes and that of high draws none.
+    cfg = _config_file(tmp_path, {
+        "seed": 17, "events": ["crash", "injury"], "bins": ["all"], "modes": ["cmc", "is"],
+        "cross_entropy": {"iterations": 3, "n_per_iter": {"crash": 50}},
+    })
+    out, alone = tmp_path / "out", tmp_path / "alone"
+    assert main(["run", "--config", cfg, "--n-cap", "200", "--out", str(out)]) == 2
+    assert "crash/high cross-entropy search aborted" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert [(r["event"], r["bin"], r["mode"]) for r in report["rows"]] == [
+        (e, b, m) for e in ("crash", "injury") for b in ("low", "medium", "high")
+        for m in ("cmc", "is")
+    ]
+    assert {k: st["event_hits"] > 0 for k, st in report["ce"].items()} == {
+        "crash/low": True, "crash/medium": True, "crash/high": False,
+    }
+    # The IS rows of high run under the tilts the failed search ended with.
+    assert all((r["vartheta_r"], r["vartheta_ttc"]) == (0.0, 0.0)
+               for r in report["rows"] if r["bin"] == "high" and r["mode"] == "is")
+
+    assert main(["run", "--config", cfg, "--n-cap", "200", "--bin", "low", "--bin", "medium",
+                 "--out", str(alone)]) == 2
+    capsys.readouterr()
+    other = json.loads((alone / "report.json").read_text(encoding="utf-8"))
+
+    def dump(x):
+        return json.dumps(x, sort_keys=True)
+
+    assert dump([r for r in report["rows"] if r["bin"] != "high"]) == dump(other["rows"])
+    assert dump({k: st for k, st in report["ce"].items() if k != "crash/high"}) == dump(other["ce"])
+    for key, conv in other["convergence"].items():
+        assert dump(report["convergence"][key]) == dump(conv)
 
 
 def test_run_with_warm_start_runs_no_search(tmp_path, capsys):
