@@ -6,10 +6,9 @@ conflict, crash and injury rates by importance sampling with tilts found
 through cross-entropy search.
 
 The modules are the API; the package root exports only ``load_config``
-and ``__version__``.  Importing the root loads no submodule and no
-numpy: ``load_config`` loads the config layer on first use (PEP 562),
-so that ``accel_eval.cli`` can set the BLAS thread count before numpy
-starts.
+and ``__version__``.  Importing the root loads no submodule:
+``load_config`` loads the config layer on first use (PEP 562).  No run
+path loads numpy; only ``accel-eval fit`` (``ingest``) does.
 """
 
 __version__ = "0.1.0"

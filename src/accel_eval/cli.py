@@ -12,15 +12,9 @@ import argparse
 import os
 import sys
 
-# numpy's OpenBLAS starts a worker thread at import that spins a core
-# before it sleeps.  No path here calls BLAS, so pin it to one thread
-# before anything below imports numpy; a count the user set is kept.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 import yaml
 
 from .config import EVENTS, MODES, ConfigError, load_config
-from .ingest import build_model_section, load_events_csv, render_fit_summary
 from .runner import read_report, run_experiment, run_search, write_outputs
 
 __all__ = ["main"]
@@ -103,6 +97,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "fit":
+            # The one subcommand that loads numpy.
+            from .ingest import build_model_section, load_events_csv, render_fit_summary
+
             bin_settings = {k: v for k, v in vars(args).items()
                             if k not in ("command", "data", "out")}
             section, summary = build_model_section(load_events_csv(args.data), **bin_settings)

@@ -54,7 +54,7 @@ R_RANGE = (0.1, 75.0)  # m, range at cut-in
 
 _V_EDGES = [float(v) for v in range(int(V_RANGE[0]), int(V_RANGE[1]) + 1, 2)]
 _V_WEIGHTS = [1, 2, 4, 7, 9, 8, 6, 4, 3, 3, 4, 6, 8, 9, 8, 6, 4, 2, 1]
-_V_MASS = [w / sum(_V_WEIGHTS) for w in _V_WEIGHTS]
+_V_MASS = [w / math.fsum(_V_WEIGHTS) for w in _V_WEIGHTS]
 
 _R_INV_LO = 1.0 / R_RANGE[1]  # 1/m
 _R_INV_HI = 1.0 / R_RANGE[0]  # 1/m

@@ -12,9 +12,9 @@ and says so by ``event_hits == 0``, never by raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import repeat
 
 from .plant import AvConfig, classify_events, simulate
 from .scenario import ProposalParams, ScenarioModel, scenario_stream, stream_namespace
@@ -59,18 +59,18 @@ class CeState:
 def weighted_tilt_update(x, lam, weights, lam_cap: float) -> float:
     """Closed-form tilt update: weighted mean of (lam - x), clamped below lam_cap.
 
-    ``lam`` may be a scalar or a per-sample array (the inverse-TTC mean
-    depends on each sample's lead speed).  The clamp keeps a safety
-    margin of ``_MARGIN * lam_cap`` inside the validity region.
+    ``lam`` may be a float or a per-sample sequence (the inverse-TTC mean
+    depends on each sample's lead speed).  Both sums are correctly
+    rounded (``math.fsum``).  The clamp keeps a safety margin of
+    ``_MARGIN * lam_cap`` inside the validity region.
     """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0):
+    if any(wi < 0 for wi in weights):
         raise ValueError("weights must be nonnegative")
-    total = float(w.sum())
+    total = math.fsum(weights)
     if not total > 0:
         raise ValueError("all weights are zero; no information to update the tilt")
-    vartheta = float(np.sum(w * (lam - x)) / total)
+    lams = repeat(lam) if isinstance(lam, (int, float)) else lam
+    vartheta = math.fsum([wi * (li - xi) for wi, li, xi in zip(weights, lams, x)]) / total
     return min(vartheta, (1.0 - _MARGIN) * lam_cap)
 
 

@@ -16,20 +16,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
-import numpy as np
+from .fmath import exp, expm1, log, log1p, tanh
 
 __all__ = [
     "TruncatedPareto",
     "TruncatedExponential",
     "EmpiricalDist",
-    "FitReport",
     "FitError",
     "tilt_exponential",
     "exp_density_ratio",
-    "fit_exponential_mle",
-    "fit_pareto",
     "lsq_exponential_of_pareto",
 ]
 
@@ -44,46 +40,29 @@ class FitError(ValueError):
     """A maximum-likelihood or least-squares fit found no usable optimum."""
 
 
-# Each law formula below is written once, for floats (Python or numpy) and
-# arrays alike, from numpy's exp, log, log1p and expm1 ufuncs; only these
-# helpers treat the two differently.  Those ufuncs give a float the bits of
-# the same value inside an array of any length (numpy's array ``**`` does
-# not), so a float gives the bits of its own entry in an array.  ``_clip``
-# and ``_on_support`` keep np.clip's tie rules on floats.
+# Each law formula below takes one float at a time and computes with the
+# functions of ``fmath``, which are built from correctly rounded operations
+# only: a value has the same bits on any IEEE-754 machine and any
+# supported Python.  ``_clip`` keeps np.clip's NaN and signed-zero rules.
 
 
-def _clip(x, lo: float, hi: float):
-    """``np.clip(x, lo, hi)``, as a float for a float or a 0-d array.  On a
-    float NaN passes, and a bound equal to ``x`` (a zero of the other sign)
-    does not replace it."""
-    if isinstance(x, float):
-        x = lo if x < lo else x
-        return float(hi if x > hi else x)
-    out = np.clip(x, lo, hi)
-    return out if out.ndim else float(out)
+def _clip(x: float, lo: float, hi: float) -> float:
+    """``np.clip(x, lo, hi)`` as a float: NaN passes, and a bound equal to
+    ``x`` (a zero of the other sign) does not replace it."""
+    x = lo if x < lo else x
+    return float(hi if x > hi else x)
 
 
-def _check_u(u):
-    """``u`` as a float or an array, once every value lies in [0, 1]."""
-    if isinstance(u, float):
-        bad = u < 0.0 or u > 1.0
-    else:
-        u = np.asarray(u, dtype=float)
-        bad = np.any((u < 0.0) | (u > 1.0))
-    if bad:
+def _check_u(u: float) -> float:
+    """``u``, once it lies in [0, 1]."""
+    if u < 0.0 or u > 1.0:
         raise ValueError("u must lie in [0, 1]")
     return u
 
 
-def _on_support(x, lo: float, hi: float, f):
-    """``f(x)`` on [lo, hi] and 0.0 outside, as a float for a float or a 0-d
-    array; on arrays ``f`` sees ``lo`` in place of the points outside."""
-    if isinstance(x, float):
-        return float(f(x)) if x >= lo and x <= hi else 0.0
-    x = np.asarray(x, dtype=float)
-    inside = (x >= lo) & (x <= hi)
-    out = np.where(inside, f(np.where(inside, x, lo)), 0.0)
-    return out if x.ndim else float(out)
+def _on_support(x: float, lo: float, hi: float, f) -> float:
+    """``f(x)`` on [lo, hi] and 0.0 outside (NaN included)."""
+    return f(x) if lo <= x <= hi else 0.0
 
 
 class TruncatedPareto:
@@ -108,28 +87,27 @@ class TruncatedPareto:
         self.lo = float(lo)
         self.hi = float(hi)
         # Base survival at lo, and the mass of the base law kept by the
-        # truncation, as Python floats.  At hi = inf the survival is exp(-inf),
-        # exactly 0.0.
-        self._sf_lo = float(self._base_sf(self.lo))
-        self._z = float(self._sf_lo - self._base_sf(self.hi))
+        # truncation.  At hi = inf the survival is exp(-inf), exactly 0.0.
+        self._sf_lo = self._base_sf(self.lo)
+        self._z = self._sf_lo - self._base_sf(self.hi)
         if not self._z > 0:
             raise ValueError("truncation range carries no probability mass")
 
-    def _base_sf(self, x):
-        return np.exp(-np.log1p(self.k * (x - self.theta) / self.sigma) / self.k)
+    def _base_sf(self, x: float) -> float:
+        return exp(-log1p(self.k * (x - self.theta) / self.sigma) / self.k)
 
-    def pdf(self, x) -> np.ndarray | float:
-        return _on_support(x, self.lo, self.hi, lambda x: (1.0 / self.sigma) * np.exp(
-            (-1.0 - 1.0 / self.k) * np.log1p(self.k * (x - self.theta) / self.sigma)
+    def pdf(self, x: float) -> float:
+        return _on_support(x, self.lo, self.hi, lambda x: (1.0 / self.sigma) * exp(
+            (-1.0 - 1.0 / self.k) * log1p(self.k * (x - self.theta) / self.sigma)
         ) / self._z)
 
-    def cdf(self, x) -> np.ndarray | float:
+    def cdf(self, x: float) -> float:
         xs = _clip(x, self.lo, self.hi)
         return _clip((self._sf_lo - self._base_sf(xs)) / self._z, 0.0, 1.0)
 
-    def ppf(self, u) -> np.ndarray | float:
+    def ppf(self, u: float) -> float:
         s = self._sf_lo - _check_u(u) * self._z
-        x = self.theta + (self.sigma / self.k) * np.expm1(-self.k * np.log(s))
+        x = self.theta + (self.sigma / self.k) * expm1(-self.k * log(s))
         return _clip(x, self.lo, self.hi)
 
 
@@ -150,21 +128,21 @@ class TruncatedExponential:
         self.lo = float(lo)
         self.hi = float(hi)
         # Kept mass of the base law, in a form stable for large lo.
-        self._q = float(-math.expm1(-(self.hi - self.lo) / self.mean)) if math.isfinite(hi) else 1.0
+        self._q = -expm1(-(self.hi - self.lo) / self.mean) if math.isfinite(hi) else 1.0
         if not self._q > 0:
             raise ValueError("truncation range carries no probability mass")
 
-    def pdf(self, x) -> np.ndarray | float:
-        return _on_support(x, self.lo, self.hi, lambda x: np.exp(
+    def pdf(self, x: float) -> float:
+        return _on_support(x, self.lo, self.hi, lambda x: exp(
             -(x - self.lo) / self.mean) / (self.mean * self._q))
 
-    def cdf(self, x) -> np.ndarray | float:
+    def cdf(self, x: float) -> float:
         xs = _clip(x, self.lo, self.hi)
-        return _clip(-np.expm1(-(xs - self.lo) / self.mean) / self._q, 0.0, 1.0)
+        return _clip(-expm1(-(xs - self.lo) / self.mean) / self._q, 0.0, 1.0)
 
-    def ppf(self, u) -> np.ndarray | float:
+    def ppf(self, u: float) -> float:
         # Never below lo; the upper clip is a no-op at hi = inf.
-        x = self.lo - self.mean * np.log1p(-_check_u(u) * self._q)
+        x = self.lo - self.mean * log1p(-_check_u(u) * self._q)
         return _clip(x, self.lo, self.hi)
 
 
@@ -182,7 +160,7 @@ def tilt_exponential(base: TruncatedExponential, vartheta: float) -> TruncatedEx
     return TruncatedExponential(base.mean - vartheta, base.lo, base.hi)
 
 
-def exp_density_ratio(numer: TruncatedExponential, denom: TruncatedExponential, x):
+def exp_density_ratio(numer: TruncatedExponential, denom: TruncatedExponential, x: float) -> float:
     """pdf(numer, x) / pdf(denom, x) in closed form.
 
     Equals ``c * exp(-x * (1/numer.mean - 1/denom.mean))`` with a constant
@@ -193,19 +171,16 @@ def exp_density_ratio(numer: TruncatedExponential, denom: TruncatedExponential, 
     ``denom``.
     """
     log_c = (
-        math.log(denom.mean * denom._q)
-        - math.log(numer.mean * numer._q)
+        log(denom.mean * denom._q)
+        - log(numer.mean * numer._q)
         + numer.lo / numer.mean
         - denom.lo / denom.mean
     )
     rate_diff = 1.0 / numer.mean - 1.0 / denom.mean
-    try:
-        c = math.exp(log_c)
-    except OverflowError:
-        c = math.inf
+    c = exp(log_c)
     if 0.0 < c < math.inf:
-        return _on_support(x, numer.lo, numer.hi, lambda x: c * np.exp(-x * rate_diff))
-    return _on_support(x, numer.lo, numer.hi, lambda x: np.exp(log_c - x * rate_diff))
+        return _on_support(x, numer.lo, numer.hi, lambda x: c * exp(-x * rate_diff))
+    return _on_support(x, numer.lo, numer.hi, lambda x: exp(log_c - x * rate_diff))
 
 
 class EmpiricalDist:
@@ -219,136 +194,64 @@ class EmpiricalDist:
     """
 
     def __init__(self, bin_edges, bin_mass):
-        edges = np.asarray(bin_edges, dtype=float)
-        mass = np.asarray(bin_mass, dtype=float)
-        if edges.ndim != 1 or mass.ndim != 1 or len(edges) != len(mass) + 1:
+        edges = [float(e) for e in bin_edges]
+        mass = [float(m) for m in bin_mass]
+        if len(edges) != len(mass) + 1:
             raise ValueError("need len(bin_edges) == len(bin_mass) + 1")
-        if not np.all(np.diff(edges) > 0):
+        if not all(b > a for a, b in zip(edges, edges[1:])):
             raise ValueError("bin_edges must be strictly increasing")
-        if np.any(mass < 0):
+        if any(m < 0 for m in mass):
             raise ValueError("bin masses must be nonnegative")
-        total = float(mass.sum())
+        total = math.fsum(mass)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"bin masses must sum to 1 within 1e-9, got {total}")
         self.bin_edges = edges
-        self.bin_mass = mass / total
-        self.lo = float(edges[0])
-        self.hi = float(edges[-1])
-        # (lo, hi) -> (left, overlap, total, cumsum) of sample_in_range,
-        # as lists of the same floats; one entry per velocity bin sampled.
+        self.bin_mass = [m / total for m in mass]
+        self.lo = edges[0]
+        self.hi = edges[-1]
+        # (lo, hi) -> (left, overlap, total, running sum) of sample_in_range;
+        # one entry per velocity bin sampled.
         self._samplers: dict[tuple[float, float], tuple] = {}
 
     def _range_weights(self, lo: float, hi: float):
         if not lo < hi:
             raise ValueError(f"need lo < hi, got {lo}, {hi}")
-        left = np.maximum(self.bin_edges[:-1], lo)
-        right = np.minimum(self.bin_edges[1:], hi)
-        overlap = np.clip(right - left, 0.0, None)
-        w = self.bin_mass * overlap / np.diff(self.bin_edges)
+        e = self.bin_edges
+        left = [max(a, lo) for a in e[:-1]]
+        overlap = [max(min(b, hi) - a, 0.0) for a, b in zip(left, e[1:])]
+        w = [m * o / (b - a) for m, o, a, b in zip(self.bin_mass, overlap, e, e[1:])]
         return left, overlap, w
 
     def mass_in_range(self, lo: float, hi: float) -> float:
         """Probability carried by [lo, hi]."""
-        _, _, w = self._range_weights(lo, hi)
-        return float(w.sum())
+        return math.fsum(self._range_weights(lo, hi)[2])
 
     def sample_in_range(self, lo: float, hi: float, u_bin: float, u_pos: float) -> float:
         """One draw conditioned on [lo, hi], from two uniforms in [0, 1)."""
         sampler = self._samplers.get((lo, hi))
         if sampler is None:
             left, overlap, w = self._range_weights(lo, hi)
-            total = float(w.sum())
+            total = math.fsum(w)
             if total <= 0.0:
                 raise ValueError(f"range ({lo}, {hi}) carries no probability mass")
-            sampler = (left.tolist(), overlap.tolist(), total, np.cumsum(w).tolist())
+            cum, acc = [], 0.0
+            for x in w:
+                acc += x
+                cum.append(acc)
+            sampler = (left, overlap, total, cum)
             self._samplers[(lo, hi)] = sampler
         left, overlap, total, cum = sampler
-        # bisect_right is np.searchsorted(side="right") on a sorted list.
         j = min(bisect_right(cum, u_bin * total), len(cum) - 1)
-        return float(left[j] + u_pos * overlap[j])
-
-
-@dataclass(frozen=True)
-class FitReport:
-    """Result of a maximum-likelihood fit.
-
-    ``params`` holds everything needed to rebuild the law; ``n_params``
-    counts only the parameters that were actually optimized, which is
-    what enters the BIC.
-    """
-
-    params: dict[str, float]
-    n_params: int
-    loglik: float
-    bic: float
-    n: int
-
-
-def fit_exponential_mle(samples) -> FitReport:
-    """Fit an untruncated exponential by maximum likelihood (mean = sample mean)."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least 2 samples")
-    if np.any(x <= 0):
-        raise ValueError("samples must be positive")
-    lam = float(x.mean())
-    n = int(x.size)
-    loglik = -n * math.log(lam) - float(x.sum()) / lam
-    bic = 1 * math.log(n) - 2.0 * loglik
-    return FitReport(params={"mean": lam}, n_params=1, loglik=loglik, bic=bic, n=n)
-
-
-def fit_pareto(samples, theta: float | None = None) -> FitReport:
-    """Fit a generalized Pareto law (k, sigma) by maximum likelihood.
-
-    The location ``theta`` is held fixed (defaulting to the sample
-    minimum); only shape and scale are optimized, so ``n_params`` is 2.
-    With ``t = k / sigma`` and excesses ``x = samples - theta`` the best
-    shape is ``k(t) = mean(log1p(t x))``, which leaves the profile
-    log-likelihood ``-n (log k(t) - log t + k(t) + 1)`` (Grimshaw 1993),
-    maximized over ``log(t mean(x))`` on a grid from 1e-12 to 1e6.  A
-    maximum at the low edge is the exponential limit k -> 0 (k ~ 1e-12,
-    sigma ~ mean(x)); one at the high edge raises :class:`FitError`.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.size < 10:
-        raise ValueError("need at least 10 samples")
-    if theta is None:
-        theta = float(x.min())
-    if np.any(x < theta):
-        raise ValueError("samples must be >= theta")
-    excess = x - theta
-    m = float(excess.mean())
-    if not m > 0:
-        raise ValueError("all samples equal theta; the scale cannot be fitted")
-    n = int(x.size)
-
-    def shape(s: float) -> tuple[float, float]:
-        t = math.exp(s) / m
-        return float(np.log1p(t * excess).mean()), t
-
-    def neg_profile(s: float) -> float:
-        k, t = shape(s)
-        return n * (math.log(k) - math.log(t) + k + 1.0)
-
-    grid = np.linspace(math.log(1e-12), math.log(1e6), 41)
-    s_hat, j = _grid_then_golden(neg_profile, grid)
-    if j == len(grid) - 1:
-        raise FitError("generalized Pareto likelihood grows without bound in k / sigma")
-    k_hat, t_hat = shape(s_hat)
-    loglik = -neg_profile(s_hat)
-    return FitReport(
-        params={"k": k_hat, "sigma": k_hat / t_hat, "theta": float(theta)},
-        n_params=2, loglik=loglik, bic=2 * math.log(n) - 2.0 * loglik, n=n,
-    )
+        return left[j] + u_pos * overlap[j]
 
 
 def _grid_then_golden(f, grid) -> tuple[float, int]:
     """Golden-section minimum (Kiefer 1953) of ``f`` between the neighbours of
     its argmin ``j`` over ``grid``; returns it and ``j``, so that each caller
     decides which edge of the grid is an error."""
-    j = int(np.argmin([f(g) for g in grid]))
-    a, b = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, len(grid) - 1)])
+    values = [f(g) for g in grid]
+    j = values.index(min(values))
+    a, b = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     while b - a > max(_XTOL, 4.0 * math.ulp(max(abs(a), abs(b)))):
@@ -363,18 +266,31 @@ def _grid_then_golden(f, grid) -> tuple[float, int]:
     return 0.5 * (a + b), j
 
 
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], by Newton's
-    method on the Legendre recurrence: unlike ``numpy.polynomial.legendre.leggauss``
-    it calls no LAPACK routine, whose first use adds about 1 MB to the process."""
-    t = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(4):  # enough for the nodes the weights are taken at to settle
-        p_prev, p = np.ones(n), t
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
-        dp = n * (t * p - p_prev) / (t * t - 1.0)
-        t = t - p / dp
-    return 0.5 * (t + 1.0), 1.0 / ((1.0 - t * t) * dp * dp)
+def _gauss_legendre(n: int) -> tuple[list[float], list[float]]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], for an even n.
+
+    Each positive root of the Legendre polynomial P_n is found by Newton's
+    method on its recurrence, from the start ``cos(pi (i + 3/4) / (n + 1/2))``
+    summed from its Taylor series; the negative roots mirror them.
+    """
+    rec = [(float(2 * k - 1), float(k - 1), float(k)) for k in range(2, n + 1)]
+    roots, weights = [], []
+    for i in range(n // 2):
+        theta = math.pi * (i + 0.75) / (n + 0.5)
+        t = term = 1.0
+        for j in range(2, 26, 2):  # theta < pi / 2: the terms left out are under 1e-19
+            term *= -theta * theta / ((j - 1) * j)
+            t += term
+        for _ in range(4):  # enough for the nodes the weights are taken at to settle
+            p_prev, p = 1.0, t
+            for a, b, k in rec:
+                p_prev, p = p, (a * t * p - b * p_prev) / k
+            dp = n * (t * p - p_prev) / (t * t - 1.0)
+            t -= p / dp
+        roots.append(t)
+        weights.append(1.0 / ((1.0 - t * t) * dp * dp))
+    nodes = [0.5 * (1.0 - t) for t in roots] + [0.5 * (1.0 + t) for t in reversed(roots)]
+    return nodes, weights + weights[::-1]
 
 
 def lsq_exponential_of_pareto(p: TruncatedPareto) -> float:
@@ -395,15 +311,17 @@ def lsq_exponential_of_pareto(p: TruncatedPareto) -> float:
     is far smaller than the grid's span.
     """
     u, w = _gauss_legendre(_LSQ_NODES)
-    x = p.ppf(u)
+    x = [p.ppf(ui) for ui in u]
 
     def objective(lam: float) -> float:
-        g = TruncatedExponential(lam, p.lo, p.hi)
-        g_sq = 1.0 / (2.0 * lam * math.tanh((p.hi - p.lo) / (2.0 * lam)))
-        return g_sq - 2.0 * float((w * g.pdf(x)).sum())
+        pdf = TruncatedExponential(lam, p.lo, p.hi).pdf
+        g_sq = 1.0 / (2.0 * lam * tanh((p.hi - p.lo) / (2.0 * lam)))
+        return g_sq - 2.0 * math.fsum([wi * pdf(xi) for wi, xi in zip(w, x)])
 
-    m = float((w * x).sum()) - p.lo
-    grid = np.exp(np.linspace(math.log(m / 100.0), math.log(m * 100.0), 41))
+    m = math.fsum([wi * xi for wi, xi in zip(w, x)]) - p.lo
+    a = log(m / 100.0)
+    step = (log(m * 100.0) - a) / 40
+    grid = [exp(a + i * step) for i in range(41)]
     lam, j = _grid_then_golden(objective, grid)
     if j == 0 or j == len(grid) - 1:
         raise FitError("no interior least-squares minimum bracketed")

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
+
+from .fmath import exp, normal_ppf
 
 __all__ = [
     "MILE_M",
@@ -121,7 +122,7 @@ class ConfidenceSpec:
     @property
     def z_alpha(self) -> float:
         """Two-sided normal quantile for the confidence level."""
-        return NormalDist().inv_cdf(1.0 - self.alpha / 2.0)
+        return normal_ppf(1.0 - self.alpha / 2.0)
 
 
 def relative_half_width(acc: EstimatorAccumulator, spec: ConfidenceSpec) -> float | None:
@@ -170,8 +171,6 @@ def injury_probability(delta_v: float | None, m: InjuryModel) -> float:
     if delta_v is None:
         return 0.0
     dv = delta_v * 3.6 if m.delta_v_unit == "km/h" else delta_v
-    try:
-        return 1.0 / (1.0 + math.exp(-(m.b0 + m.b1 * dv + m.b2)))
-    except OverflowError:  # logit below about -709.8, probability below 1e-308
-        return 0.0
+    # A logit below about -709.8 overflows exp to inf: probability 0.
+    return 1.0 / (1.0 + exp(-(m.b0 + m.b1 * dv + m.b2)))
 

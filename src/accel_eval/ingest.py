@@ -8,19 +8,26 @@ envelope are dropped: speeds must lie in (2, 40) m/s, range in
 record with a non-finite value in any column is dropped too: an
 infinite range rate would otherwise count as closing and put an
 infinity into the fitted table.
+
+The maximum-likelihood fits of the inverse-range law live here too:
+``fit`` is the one subcommand that loads numpy.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import R_RANGE, V_RANGE, default_config_dict
-from .distributions import FitReport, fit_exponential_mle, fit_pareto
+from .distributions import FitError, _grid_then_golden
 
 __all__ = [
+    "FitReport",
+    "fit_exponential_mle",
+    "fit_pareto",
     "IngestSummary",
     "load_events_csv",
     "apply_filters",
@@ -31,6 +38,81 @@ __all__ = [
 MAX_V_INTERVALS = 1000  # most intervals a speed bin width may split V_RANGE into
 
 _COLUMNS = ("v", "v_l", "r_l", "r_l_dot")
+
+
+@dataclass(frozen=True)
+class FitReport:
+    """Result of a maximum-likelihood fit.
+
+    ``params`` holds everything needed to rebuild the law; ``n_params``
+    counts only the parameters that were actually optimized, which is
+    what enters the BIC.
+    """
+
+    params: dict[str, float]
+    n_params: int
+    loglik: float
+    bic: float
+    n: int
+
+
+def fit_exponential_mle(samples) -> FitReport:
+    """Fit an untruncated exponential by maximum likelihood (mean = sample mean)."""
+    x = np.asarray(samples, dtype=float)
+    if x.size < 2:
+        raise ValueError("need at least 2 samples")
+    if np.any(x <= 0):
+        raise ValueError("samples must be positive")
+    lam = float(x.mean())
+    n = int(x.size)
+    loglik = -n * math.log(lam) - float(x.sum()) / lam
+    bic = 1 * math.log(n) - 2.0 * loglik
+    return FitReport(params={"mean": lam}, n_params=1, loglik=loglik, bic=bic, n=n)
+
+
+def fit_pareto(samples, theta: float | None = None) -> FitReport:
+    """Fit a generalized Pareto law (k, sigma) by maximum likelihood.
+
+    The location ``theta`` is held fixed (defaulting to the sample
+    minimum); only shape and scale are optimized, so ``n_params`` is 2.
+    With ``t = k / sigma`` and excesses ``x = samples - theta`` the best
+    shape is ``k(t) = mean(log1p(t x))``, which leaves the profile
+    log-likelihood ``-n (log k(t) - log t + k(t) + 1)`` (Grimshaw 1993),
+    maximized over ``log(t mean(x))`` on a grid from 1e-12 to 1e6.  A
+    maximum at the low edge is the exponential limit k -> 0 (k ~ 1e-12,
+    sigma ~ mean(x)); one at the high edge raises :class:`FitError`.
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.size < 10:
+        raise ValueError("need at least 10 samples")
+    if theta is None:
+        theta = float(x.min())
+    if np.any(x < theta):
+        raise ValueError("samples must be >= theta")
+    excess = x - theta
+    m = float(excess.mean())
+    if not m > 0:
+        raise ValueError("all samples equal theta; the scale cannot be fitted")
+    n = int(x.size)
+
+    def shape(s: float) -> tuple[float, float]:
+        t = math.exp(s) / m
+        return float(np.log1p(t * excess).mean()), t
+
+    def neg_profile(s: float) -> float:
+        k, t = shape(s)
+        return n * (math.log(k) - math.log(t) + k + 1.0)
+
+    grid = np.linspace(math.log(1e-12), math.log(1e6), 41).tolist()
+    s_hat, j = _grid_then_golden(neg_profile, grid)
+    if j == len(grid) - 1:
+        raise FitError("generalized Pareto likelihood grows without bound in k / sigma")
+    k_hat, t_hat = shape(s_hat)
+    loglik = -neg_profile(s_hat)
+    return FitReport(
+        params={"k": k_hat, "sigma": k_hat / t_hat, "theta": float(theta)},
+        n_params=2, loglik=loglik, bic=2 * math.log(n) - 2.0 * loglik, n=n,
+    )
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,7 @@ def stream_namespace(label: str) -> int:
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _U64 = (1 << 64) - 1
+_TWO_M53 = 1.0 / (1 << 53)
 
 
 @lru_cache(maxsize=16)
@@ -163,7 +164,7 @@ def scenario_stream(seed: int, index: int, namespace: int = 0) -> tuple[float, f
         p1 = _PHILOX_M1 * c2
         c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _U64, (p0 >> 64) ^ c3 ^ k1, p0 & _U64
     # numpy's random(): the top 53 bits of each word, scaled to [0, 1).
-    return (c0 >> 11) * 2**-53, (c1 >> 11) * 2**-53, (c2 >> 11) * 2**-53, (c3 >> 11) * 2**-53
+    return (c0 >> 11) * _TWO_M53, (c1 >> 11) * _TWO_M53, (c2 >> 11) * _TWO_M53, (c3 >> 11) * _TWO_M53
 
 
 class ScenarioModel:

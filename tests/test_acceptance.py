@@ -104,12 +104,12 @@ def test_a1_analytic_tail_acceleration():
 
     base = TruncatedExponential(1.0)
     prop = tilt_exponential(base, vartheta)
-    xs = prop.ppf(np.random.default_rng(202).random(10000))
-    ws = exp_density_ratio(base, prop, xs)
+    xs = [prop.ppf(u) for u in np.random.default_rng(202).random(10000)]
+    ws = [exp_density_ratio(base, prop, x) for x in xs]
     acc = EstimatorAccumulator()
     n_converge = None
     for i in range(10000):
-        acc.update(1.0 if xs[i] > 7.0 else 0.0, float(ws[i]))
+        acc.update(1.0 if xs[i] > 7.0 else 0.0, ws[i])
         if n_converge is None and acc.n % 50 == 0:
             lr_hw = relative_half_width(acc, SPEC80)
             if lr_hw is not None and lr_hw < SPEC80.beta:
@@ -140,12 +140,12 @@ def test_a2_zero_variance_proposal():
     base = TruncatedExponential(1.0)
     prop = TruncatedExponential(1.0, lo=7.0)
     target = math.exp(-7.0)
-    xs = prop.ppf(np.random.default_rng(7).random(1500))
-    ws = exp_density_ratio(base, prop, xs)
+    xs = [prop.ppf(u) for u in np.random.default_rng(7).random(1500)]
+    ws = [exp_density_ratio(base, prop, x) for x in xs]
     acc = EstimatorAccumulator()
     for w in ws:
-        acc.update(1.0, float(w))
-    rel_err = float(np.max(np.abs(ws / target - 1.0)))
+        acc.update(1.0, w)
+    rel_err = max(abs(w / target - 1.0) for w in ws)
     lr_hw = relative_half_width(acc, SPEC80)
     elapsed = time.perf_counter() - t0
     ok = rel_err <= 1e-12 and lr_hw == 0.0 and elapsed < 1.0
@@ -341,10 +341,9 @@ def test_a10_module_invariants(default_cfg):
     mass_e, _ = quad(expo.pdf, expo.lo, expo.hi, limit=200)
     checks["normalization"] = abs(mass - 1.0) <= 1e-6 and abs(mass_e - 1.0) <= 1e-6
 
-    us = np.linspace(1e-3, 0.999, 101)
-    checks["round-trip"] = (
-        float(np.max(np.abs(pareto.cdf(pareto.ppf(us)) - us))) <= 1e-9
-        and float(np.max(np.abs(expo.cdf(expo.ppf(us)) - us))) <= 1e-9
+    us = np.linspace(1e-3, 0.999, 101).tolist()
+    checks["round-trip"] = all(
+        abs(law.cdf(law.ppf(u)) - u) <= 1e-9 for law in (pareto, expo) for u in us
     )
 
     # Merging partial sums is exact regardless of grouping, and equals

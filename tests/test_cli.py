@@ -628,27 +628,11 @@ def test_fit_flags_default_to_the_fit_defaults(tmp_path, capsys):
 
 def _fresh_python(code, **env):
     """Run ``code`` in a new interpreter on this checkout's sources; its last line, as JSON."""
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base = dict(os.environ)
     base["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], env={**base, **env},
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="OpenBLAS pin is tested on Linux")
-def test_cli_pins_openblas_to_one_thread_unless_set():
-    # The CLI sets the count before numpy loads OpenBLAS, so no idle
-    # BLAS worker runs; a count from the environment is kept.
-    code = (
-        "import json, os, sys, accel_eval.cli\n"
-        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
-        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules, tasks]))"
-    )
-    value, numpy_loaded, tasks = _fresh_python(code)
-    assert value == "1" and numpy_loaded
-    if tasks is not None:
-        assert tasks == 1
-    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2")[0] == "2"
 
 
 def test_package_root_loads_nothing_heavy():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from accel_eval import fmath
 from accel_eval.estimation import (
     ConfidenceSpec,
     EstimatorAccumulator,
@@ -192,7 +193,7 @@ def test_injury_probability_is_zero_where_the_logistic_overflows():
     # Negated logit about 1006.7: exp overflows, the probability is below 1e-308.
     assert injury_probability(5.0, m) == 0.0
     # Negated logit about 606.7: exp is finite and the formula is unchanged.
-    expected = 1.0 / (1.0 + math.exp(-(m.b0 + m.b1 * 3.0 + m.b2)))
+    expected = 1.0 / (1.0 + fmath.exp(-(m.b0 + m.b1 * 3.0 + m.b2)))
     assert 0.0 < injury_probability(3.0, m) == expected
 
 

@@ -41,7 +41,7 @@ def _synthetic_rows(n, seed):
     v = rng.uniform(3.0, 39.0, n)
     v_l = rng.uniform(2.5, 39.5, n)
     pareto = TruncatedPareto(0.02, 0.0205, 1 / 75, 1 / 75, 10.0)
-    r_l = 1.0 / pareto.ppf(rng.random(n))
+    r_l = 1.0 / np.array([pareto.ppf(u) for u in rng.random(n)])
     ttc_inv = np.array([rng.exponential(_lam(x)) for x in v_l])
     r_l_dot = -ttc_inv * r_l
     return np.column_stack([v, v_l, r_l, r_l_dot])
