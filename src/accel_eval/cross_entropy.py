@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from .plant import AvConfig, classify_events, simulate
-from .scenario import ProposalParams, ScenarioModel, scenario_stream, stream_namespace
+from .scenario import ProposalParams, ScenarioModel, ScenarioSample, scenario_stream, stream_namespace
 
 __all__ = [
     "CeIterate",
@@ -30,9 +31,11 @@ CE_EVENTS = ("conflict", "crash")
 _MARGIN = 0.01  # clamped tilts stay this fraction of their cap inside it
 
 
-@dataclass(frozen=True)
-class CeIterate:
-    """Proposal after one iteration, with that iteration's hit count."""
+class CeIterate(NamedTuple):
+    """Proposal after one iteration, with that iteration's hit count.
+
+    The fields are the columns of a ``ce_history_*.csv``, in order.
+    """
 
     iteration: int
     vartheta_r: float
@@ -60,7 +63,8 @@ def weighted_tilt_update(x, lam, weights, lam_cap: float) -> float:
     """Closed-form tilt update: weighted mean of (lam - x), clamped below lam_cap.
 
     ``lam`` may be a float or a per-sample sequence (the inverse-TTC mean
-    depends on each sample's lead speed).  Both sums are correctly
+    depends on each sample's lead speed).  An entry of weight 0 adds
+    nothing, so a search passes its hits only.  Both sums are correctly
     rounded (``math.fsum``).  The clamp keeps a safety margin of
     ``_MARGIN * lam_cap`` inside the validity region.
     """
@@ -70,7 +74,7 @@ def weighted_tilt_update(x, lam, weights, lam_cap: float) -> float:
     if not total > 0:
         raise ValueError("all weights are zero; no information to update the tilt")
     lams = repeat(lam) if isinstance(lam, (int, float)) else lam
-    vartheta = math.fsum([wi * (li - xi) for wi, li, xi in zip(weights, lams, x)]) / total
+    vartheta = math.fsum([wi * (li - xi) for wi, li, xi in zip(weights, lams, x) if wi]) / total
     return min(vartheta, (1.0 - _MARGIN) * lam_cap)
 
 
@@ -101,33 +105,25 @@ def ce_search(
     params = ProposalParams(0.0, 0.0, bin_name)
     history: list[CeIterate] = []
     for it in range(1, iterations + 1):
-        r_inv: list[float] = []
-        ttc_inv: list[float] = []
-        lam_ttc: list[float] = []
-        w: list[float] = []
-        hits = 0
+        hits: list[ScenarioSample] = []
         for i in range((it - 1) * n_per_iter, it * n_per_iter):
             s = sample(b, scenario_stream(seed, i, ns), params)
-            hit = getattr(classify_events(simulate(s, plant_cfg)), event)
-            r_inv.append(s.r_inv)
-            ttc_inv.append(s.ttc_inv)
-            lam_ttc.append(s.lambda_ttc)
-            w.append(s.likelihood if hit else 0.0)
-            hits += hit
+            if getattr(classify_events(simulate(s, plant_cfg)), event):
+                hits.append(s)
         if hits:
+            w = [s.likelihood for s in hits]
             params = ProposalParams(
-                weighted_tilt_update(r_inv, lam_r, w, lam_r),
-                weighted_tilt_update(ttc_inv, lam_ttc, w, lam_cap),
+                weighted_tilt_update([s.r_inv for s in hits], lam_r, w, lam_r),
+                weighted_tilt_update([s.ttc_inv for s in hits],
+                                     [model.lambda_ttc(s.v_l) for s in hits], w, lam_cap),
                 bin_name,
             )
             model.validate_proposal(params)
-        history.append(
-            CeIterate(it, params.vartheta_r, params.vartheta_ttc, hits, n_per_iter)
-        )
+        history.append(CeIterate(it, params.vartheta_r, params.vartheta_ttc, len(hits), n_per_iter))
     return CeState(
         params=params,
         n_per_iter=n_per_iter,
-        event_hits=hits,
+        event_hits=len(hits),
         history=tuple(history),
         lambda_r=lam_r,
         lambda_ttc_cap=lam_cap,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from .fmath import exp, expm1, log, log1p, tanh
+from .fmath import exp, expm1, log, log1p
 
 __all__ = [
     "TruncatedPareto",
@@ -304,19 +304,20 @@ def lsq_exponential_of_pareto(p: TruncatedPareto) -> float:
     golden-section search then narrows that bracket to ``_XTOL``.
 
     The squared error is minimized as ``int g^2 - 2 E_p[g(X)]`` (the
-    constant ``int p^2`` dropped): ``int g^2 = 1 / (2 lam tanh((hi-lo) / (2 lam)))``,
-    and ``E_p[g]`` is one fixed Gauss-Legendre rule on p's probability
-    scale, with the nodes ``p.ppf(u_i)`` computed once per fit.  The same
-    rule gives the mean that centres the grid; its error on heavy tails
-    is far smaller than the grid's span.
+    constant ``int p^2`` dropped): ``int g^2 = (2 - q) / (2 lam q)`` with
+    g's kept mass ``q`` (``1 / (2 lam)`` at ``hi = inf``), and ``E_p[g]``
+    is one fixed Gauss-Legendre rule on p's probability scale, with the
+    nodes ``p.ppf(u_i)`` computed once per fit.  The same rule gives the
+    mean that centres the grid; its error on heavy tails is far smaller
+    than the grid's span.
     """
     u, w = _gauss_legendre(_LSQ_NODES)
     x = [p.ppf(ui) for ui in u]
 
     def objective(lam: float) -> float:
-        pdf = TruncatedExponential(lam, p.lo, p.hi).pdf
-        g_sq = 1.0 / (2.0 * lam * tanh((p.hi - p.lo) / (2.0 * lam)))
-        return g_sq - 2.0 * math.fsum([wi * pdf(xi) for wi, xi in zip(w, x)])
+        g = TruncatedExponential(lam, p.lo, p.hi)
+        g_sq = (2.0 - g._q) / (2.0 * lam * g._q)
+        return g_sq - 2.0 * math.fsum([wi * g.pdf(xi) for wi, xi in zip(w, x)])
 
     m = math.fsum([wi * xi for wi, xi in zip(w, x)]) - p.lo
     a = log(m / 100.0)

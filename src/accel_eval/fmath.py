@@ -1,18 +1,18 @@
 """Elementary functions built only from correctly rounded float operations.
 
-``exp``, ``log``, ``log1p``, ``expm1``, ``tanh`` and the standard normal
-quantile ``normal_ppf``, computed with ``+ - * /``, ``math.sqrt``,
+``exp``, ``log``, ``log1p``, ``expm1`` and the standard normal quantile
+``normal_ppf``, computed with ``+ - * /``, ``math.sqrt``,
 ``math.ldexp``, ``math.frexp`` and ``round``.  Each of these rounds
 correctly under IEEE 754, so every result here has the same bits on any
 IEEE-754 machine and any CPython; libm's ``math.exp`` and numpy's SIMD
 kernels make no such promise.  The algorithms are fdlibm's (Sun
-Microsystems, 1993) for the first five and Wichura's AS 241 (1988) for
+Microsystems, 1993) for the first four and Wichura's AS 241 (1988) for
 the quantile.
 
 Error bounds, in units in the last place of the exact result, which
 tier-1 checks against ``decimal``'s correctly rounded ``exp`` and ``ln``:
-``exp``, ``log``, ``log1p`` and ``expm1`` under 1 ulp, ``tanh`` under
-3 ulp.  ``normal_ppf`` has AS 241's own accuracy, under 8 ulp.
+``exp``, ``log``, ``log1p`` and ``expm1`` under 1 ulp.  ``normal_ppf``
+has AS 241's own accuracy, under 8 ulp.
 
 Edges follow numpy's ufuncs: NaN passes through, ``exp`` overflows to
 ``inf`` and underflows to 0 instead of raising, ``exp(-inf) = 0``,
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from math import frexp, inf, ldexp, nan, sqrt
 
-__all__ = ["exp", "log", "log1p", "expm1", "tanh", "normal_ppf"]
+__all__ = ["exp", "log", "log1p", "expm1", "normal_ppf"]
 
 # ln 2 split in two: _LN2_HI has 32 significant bits, so k * _LN2_HI is
 # exact for every exponent k of a double.
@@ -63,7 +63,6 @@ _Q5 = -2.01099218183624371326e-07
 
 _TWO_M28 = ldexp(1.0, -28)
 _TWO_M54 = ldexp(1.0, -54)
-_TWO_M55 = ldexp(1.0, -55)
 _EXPM1_SATURATES = -38.816242111356935  # 56 ln 2: below it expm1(x) rounds to -1
 
 
@@ -178,23 +177,6 @@ def expm1(x: float) -> float:
     if k < 20:
         return ldexp((1.0 - ldexp(1.0, -k)) - (e - r), k)
     return ldexp((r - (e + ldexp(1.0, -k))) + 1.0, k)
-
-
-def tanh(x: float) -> float:
-    """Hyperbolic tangent, under 3 ulp from the exact value; ``tanh(+-inf) = +-1``."""
-    if x != x:
-        return x
-    ax = -x if x < 0.0 else x
-    if ax < _TWO_M55:
-        return x
-    if ax >= 22.0:
-        z = 1.0
-    elif ax >= 1.0:
-        z = 1.0 - 2.0 / (expm1(2.0 * ax) + 2.0)
-    else:
-        t = expm1(-2.0 * ax)
-        z = -t / (t + 2.0)
-    return -z if x < 0.0 else z
 
 
 # AS 241 (PPND16): numerator and denominator coefficients, highest degree first.

@@ -154,7 +154,6 @@ class SimTrace(NamedTuple):
     """Outcome of one simulated event."""
 
     states: tuple[SimState, ...]  # empty unless recording was requested
-    final: SimState
     outcome: str  # "none", "conflict" or "crash"
     t_end: float  # s
     min_range: float  # m, over the whole trajectory
@@ -320,6 +319,7 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
         r = r + (v_l - v_before) * ts
         sum_v += v_before
         if record:
+            # Records are built by position, which takes half the time of keywords.
             states.append(SimState(t, r, v, a, a_cmd, AEB if aeb else ACC, prev_err))
         if closing:
             if r < min_range:
@@ -327,15 +327,13 @@ def simulate(scenario: ScenarioSample, cfg: AvConfig, record: bool = False) -> S
             if r <= 0.0:
                 delta_v = v_before - v_l
                 break
-    # Records are built by position, which takes half the time of keywords.
-    final = SimState(t, r, v, a, a_cmd, AEB if aeb else ACC, prev_err)
     if r <= 0.0:
         outcome = "crash"
     elif min_range < cfg.r_conflict:
         outcome = "conflict"
     else:
         outcome = "none"
-    return SimTrace(tuple(states), final, outcome, t, min_range, delta_v, sum_v * ts)
+    return SimTrace(tuple(states), outcome, t, min_range, delta_v, sum_v * ts)
 
 
 def classify_events(trace: SimTrace) -> EventRecord:

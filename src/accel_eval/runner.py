@@ -246,9 +246,7 @@ def _ce_state_dict(st: CeState) -> dict:
         "vartheta_ttc": st.params.vartheta_ttc,
         "event_hits": st.event_hits,
         "n_per_iter": st.n_per_iter,
-        "history": [
-            [h.iteration, h.vartheta_r, h.vartheta_ttc, h.hits, h.n] for h in st.history
-        ],
+        "history": [list(h) for h in st.history],
     }
 
 

@@ -95,8 +95,6 @@ class ScenarioSample(NamedTuple):
     rdot: float  # initial range rate, m/s (<= 0)
     v0: float  # initial following-vehicle speed, m/s
     likelihood: float  # density ratio original/proposal (1.0 under the original law)
-    # Inverse-TTC mean at v_l, as drawn with; None for a sample built by hand.
-    lambda_ttc: float | None = None
 
 
 def derive_kinematics(v_l: float, r_inv: float, ttc_inv: float) -> tuple[float, float, float]:
@@ -292,8 +290,7 @@ class ScenarioModel:
         # Python floats, so that each law computes on floats.
         u_bin, u_pos, u_r, u_ttc = u
         v_l = self.v_dist.sample_in_range(bin_range.lo, bin_range.hi, u_bin, u_pos)
-        lam = self.lambda_ttc(v_l)
-        ttc_law = TruncatedExponential(lam, 0.0, math.inf)
+        ttc_law = TruncatedExponential(self.lambda_ttc(v_l), 0.0, math.inf)
         if proposal is None:
             r_inv = self.r_inv_dist.ppf(u_r)
             ttc_inv = ttc_law.ppf(u_ttc)
@@ -308,4 +305,4 @@ class ScenarioModel:
             lr_t = exp_density_ratio(ttc_law, t_prop, ttc_inv)
             likelihood = lr_r * lr_t
         rdot, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
-        return ScenarioSample(v_l, r_inv, ttc_inv, r0, rdot, v0, likelihood, lam)
+        return ScenarioSample(v_l, r_inv, ttc_inv, r0, rdot, v0, likelihood)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from accel_eval.cross_entropy import ce_search, weighted_tilt_update
 from accel_eval.distributions import TruncatedPareto
@@ -39,6 +41,33 @@ def test_update_rejects_bad_weights():
         weighted_tilt_update([0.1, 0.2], 0.1, [1.0, -0.5], lam_cap=1.0)
     with pytest.raises(ValueError):
         weighted_tilt_update([0.1, 0.2], 0.1, [0.0, 0.0], lam_cap=1.0)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ENTRY = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(0.0, 1e12))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(hits=st.lists(_ENTRY, min_size=1, max_size=20),
+       misses=st.lists(st.tuples(st.integers(0, 20), _FINITE, _FINITE), max_size=20),
+       scalar_lam=st.none() | st.floats(-1e6, 1e6))
+# A miss whose lam - x overflows: 0 * inf would be NaN, so it is left out.
+@example(hits=[(0.1, 0.2, 1.0)], misses=[(1, -1e308, 1e308)], scalar_lam=None)
+def test_zero_weight_entries_leave_the_update_bit_identical(hits, misses, scalar_lam):
+    # A search passes its hits only, where it once passed every draw with
+    # weight 0 for a miss: entries of weight 0, at any place and with any
+    # finite x and lam, must not move a bit of the result.
+    assume(sum(w for _, _, w in hits) > 0)
+    draws = list(hits)
+    for pos, x, lam in misses:
+        draws.insert(pos % (len(draws) + 1), (x, lam, 0.0))
+
+    def update(rows):
+        x, lam, w = zip(*rows)
+        return weighted_tilt_update(x, list(lam) if scalar_lam is None else scalar_lam, w,
+                                    lam_cap=1e9)
+
+    assert update(draws).hex() == update(hits).hex()
 
 
 def test_analytic_exponential_tail_update_converges():

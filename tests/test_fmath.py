@@ -19,7 +19,7 @@ from scipy.special import ndtri
 from accel_eval import fmath
 
 TINY = 5e-324  # smallest subnormal
-BOUND = {"exp": 1.0, "log": 1.0, "log1p": 1.0, "expm1": 1.0, "tanh": 3.0}
+BOUND = {"exp": 1.0, "log": 1.0, "log1p": 1.0, "expm1": 1.0}
 
 
 def _exact(name: str, x: float) -> Decimal:
@@ -38,11 +38,8 @@ def _exact(name: str, x: float) -> Decimal:
             one_plus = 1 + d
             c.prec = 60
             v = one_plus.ln()
-        elif name == "expm1":
-            v = d.exp() - 1
         else:
-            t = (2 * d).exp()
-            v = (t - 1) / (t + 1)
+            v = d.exp() - 1
         c.prec = 50
         return +v
 
@@ -89,12 +86,6 @@ def test_expm1_within_its_bound(x):
     _check("expm1", x)
 
 
-@_settings
-@given(x=st.floats(-25.0, 25.0) | st.floats(-1.5, 1.5) | st.floats(-1e-5, 1e-5))
-def test_tanh_within_its_bound(x):
-    _check("tanh", x)
-
-
 @pytest.mark.parametrize("name", sorted(BOUND))
 def test_near_zero_and_subnormal_arguments(name):
     xs = [TINY, 2 * TINY, 1e-310, 2.0**-1022, 1e-300, 2.0**-60, 2.0**-54, 2.0**-28, 1e-8, 0.3]
@@ -104,7 +95,7 @@ def test_near_zero_and_subnormal_arguments(name):
 
 
 def test_signed_zero_infinity_and_nan():
-    for name in ("log1p", "expm1", "tanh"):
+    for name in ("log1p", "expm1"):
         f = getattr(fmath, name)
         assert math.copysign(1.0, f(0.0)) == 1.0 and math.copysign(1.0, f(-0.0)) == -1.0
         assert f(0.0) == f(-0.0) == 0.0
@@ -114,14 +105,13 @@ def test_signed_zero_infinity_and_nan():
     assert (fmath.exp(math.inf), fmath.exp(-math.inf)) == (math.inf, 0.0)
     assert fmath.log(math.inf) == fmath.log1p(math.inf) == fmath.expm1(math.inf) == math.inf
     assert fmath.expm1(-math.inf) == -1.0
-    assert (fmath.tanh(math.inf), fmath.tanh(-math.inf)) == (1.0, -1.0)
-    for name in ("exp", "log", "log1p", "expm1", "tanh", "normal_ppf"):
+    for name in ("exp", "log", "log1p", "expm1", "normal_ppf"):
         assert math.isnan(getattr(fmath, name)(math.nan)), name
     for name, x in (("log", -1.0), ("log", -math.inf), ("log1p", -2.0), ("log1p", -math.inf)):
         assert math.isnan(getattr(fmath, name)(x)), (name, x)
 
 
-@pytest.mark.parametrize("name", ["exp", "log", "log1p", "expm1", "tanh"])
+@pytest.mark.parametrize("name", ["exp", "log", "log1p", "expm1"])
 def test_edges_match_numpy(name):
     # Where numpy's ufunc returns inf, 0, -1 or NaN, so does fmath, without raising.
     edges = [0.0, -0.0, TINY, -TINY, 1.0, -1.0, -2.0, 709.78, 709.79, 1000.0, -745.2, -1000.0,

@@ -202,11 +202,11 @@ def test_speed_never_negative():
 
 def test_headway_regulation_converges():
     cfg = AvConfig(t_lc_max=60.0)
-    trace = simulate(mk(20.0, 0.02, 0.0), cfg)
+    trace = simulate(mk(20.0, 0.02, 0.0), cfg, record=True)
     assert trace.outcome == "none"
-    headway = trace.final.r / trace.final.v
-    assert headway == pytest.approx(cfg.t_hw_desired, rel=0.05)
-    assert trace.final.v == pytest.approx(20.0, rel=0.01)
+    last = trace.states[-1]
+    assert last.r / last.v == pytest.approx(cfg.t_hw_desired, rel=0.05)
+    assert last.v == pytest.approx(20.0, rel=0.01)
 
 
 def test_horizon_step_count():
@@ -249,7 +249,6 @@ def test_fast_and_recorded_paths_agree_exactly():
         assert list(recorded.states) == ref
         fast = simulate(s, cfg)
         assert fast.states == ()
-        assert fast.final == recorded.final == ref[-1]
         assert fast.min_range == recorded.min_range == min(st.r for st in ref)
         assert fast.delta_v == recorded.delta_v == (
             ref[-2].v - s.v_l if crashed else None
@@ -264,14 +263,13 @@ def test_fast_and_recorded_paths_agree_exactly():
 def test_records_are_immutable():
     s = ScenarioSample(v_l=10.0, r_inv=0.5, ttc_inv=2.0, r0=2.0, rdot=-4.0, v0=14.0,
                        likelihood=1.0)
-    assert s.lambda_ttc is None  # defaulted, so samples built by hand need no mean
     state = SimState(t=0.0, r=2.0, v=14.0, a=0.0, a_cmd=0.0, mode=AEB, prev_err=0.0)
-    trace = SimTrace(states=(), final=state, outcome="none", t_end=0.0, min_range=2.0,
+    trace = SimTrace(states=(state,), outcome="none", t_end=0.0, min_range=2.0,
                      delta_v=None, distance_m=0.0)
     rec = EventRecord(conflict=True, crash=False, delta_v=None)
-    assert (rec.conflict, rec.crash, trace.final.mode) == (True, False, AEB)
+    assert (rec.conflict, rec.crash, trace.states[-1].mode) == (True, False, AEB)
     run = simulate(s, AvConfig())
-    for obj in (s, state, trace, rec, run, run.final, classify_events(run)):
+    for obj in (s, state, trace, rec, run, classify_events(run)):
         for name in obj._fields:
             with pytest.raises(AttributeError):
                 setattr(obj, name, getattr(obj, name))
@@ -361,7 +359,6 @@ def test_simulate_matches_step_chain_bit_for_bit(s, cfg):
     recorded = simulate(s, cfg, record=True)
     assert [_bits(x) for x in recorded.states] == [_bits(x) for x in ref]
     for trace in (recorded, simulate(s, cfg)):
-        assert _bits(trace.final) == _bits(ref[-1])
         assert trace.min_range.hex() == min_range.hex()
         assert trace.t_end.hex() == ref[-1].t.hex()
         assert trace.distance_m.hex() == (sum_v * cfg.ts).hex()
