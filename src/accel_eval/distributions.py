@@ -31,9 +31,9 @@ __all__ = [
 
 
 _LSQ_NODES = 128  # Gauss-Legendre nodes of the least-squares surrogate fit
-_XTOL = 1e-12  # bracket width at which a golden-section polish stops, unless
-# that is under 4 ulp of the bracket, where golden steps stop shrinking it
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step
+_LSQ_GRID = 9  # points of the log grid that brackets the fit, 10^4 wide
+_LSQ_RTOL = 1e-13  # relative Newton step at which the fit stops
+_LSQ_MAX_STEPS = 50  # cap on the fit's Newton and bisection steps
 
 
 class FitError(ValueError):
@@ -245,48 +245,40 @@ class EmpiricalDist:
         return left[j] + u_pos * overlap[j]
 
 
-def _grid_then_golden(f, grid) -> tuple[float, int]:
-    """Golden-section minimum (Kiefer 1953) of ``f`` between the neighbours of
-    its argmin ``j`` over ``grid``; returns it and ``j``, so that each caller
-    decides which edge of the grid is an error."""
-    values = [f(g) for g in grid]
-    j = values.index(min(values))
-    a, b = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > max(_XTOL, 4.0 * math.ulp(max(abs(a), abs(b)))):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b), j
-
-
 def _gauss_legendre(n: int) -> tuple[list[float], list[float]]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], for an even n.
 
     Each positive root of the Legendre polynomial P_n is found by Newton's
-    method on its recurrence, from the start ``cos(pi (i + 3/4) / (n + 1/2))``
-    summed from its Taylor series; the negative roots mirror them.
+    method on its recurrence, from Tricomi's expansion to its n^-4 term
+    (Lether 1978), ``(1 - (1 - 1/n) / (8 n^2) - (39 - 28 / sin^2 theta) /
+    (384 n^4)) cos theta`` at ``theta = pi (i + 3/4) / (n + 1/2)``, with the
+    cosine summed from its Taylor series.  A step under 1e-10 is the last:
+    it leaves the root within an ulp for n up to a few hundred, and the
+    weight takes P_n' at the root to first order in that step, with P_n''
+    from Legendre's equation.  The negative roots mirror the positive ones.
     """
     rec = [(float(2 * k - 1), float(k - 1), float(k)) for k in range(2, n + 1)]
+    inv_n2 = 1.0 / (n * n)
     roots, weights = [], []
     for i in range(n // 2):
         theta = math.pi * (i + 0.75) / (n + 0.5)
-        t = term = 1.0
+        c = term = 1.0
         for j in range(2, 26, 2):  # theta < pi / 2: the terms left out are under 1e-19
             term *= -theta * theta / ((j - 1) * j)
-            t += term
-        for _ in range(4):  # enough for the nodes the weights are taken at to settle
+            c += term
+        shrink = (1.0 - 1.0 / n) / 8.0 + inv_n2 * (39.0 - 28.0 / (1.0 - c * c)) / 384.0
+        t = c * (1.0 - inv_n2 * shrink)
+        for _ in range(10):
             p_prev, p = 1.0, t
             for a, b, k in rec:
                 p_prev, p = p, (a * t * p - b * p_prev) / k
             dp = n * (t * p - p_prev) / (t * t - 1.0)
-            t -= p / dp
+            step = p / dp
+            t -= step
+            if abs(step) <= 1e-10:
+                break
+        t0 = t + step
+        dp -= step * (2.0 * t0 * dp - n * (n + 1) * p) / (1.0 - t0 * t0)
         roots.append(t)
         weights.append(1.0 / ((1.0 - t * t) * dp * dp))
     nodes = [0.5 * (1.0 - t) for t in roots] + [0.5 * (1.0 + t) for t in reversed(roots)]
@@ -298,32 +290,71 @@ def lsq_exponential_of_pareto(p: TruncatedPareto) -> float:
 
     This is the anchor the tilted proposal family is built around: the
     heavy-tailed inverse-range law is replaced by the best exponential
-    approximation on the same truncation range.  A 41-point log grid
-    spanning 10^4 around p's mean above ``lo`` must bracket an interior
-    minimum (hitting its boundary raises :class:`FitError`); a
-    golden-section search then narrows that bracket to ``_XTOL``.
+    approximation on the same truncation range.
 
-    The squared error is minimized as ``int g^2 - 2 E_p[g(X)]`` (the
-    constant ``int p^2`` dropped): ``int g^2 = (2 - q) / (2 lam q)`` with
-    g's kept mass ``q`` (``1 / (2 lam)`` at ``hi = inf``), and ``E_p[g]``
-    is one fixed Gauss-Legendre rule on p's probability scale, with the
-    nodes ``p.ppf(u_i)`` computed once per fit.  The same rule gives the
-    mean that centres the grid; its error on heavy tails is far smaller
-    than the grid's span.
+    In g's rate ``s = 1/lam``, with ``d = x - lo``, g's kept mass
+    ``q = 1 - exp(-s (hi - lo))`` (1 at ``hi = inf``) and
+    ``H(s) = E_p[exp(-s d)]``, the squared error less the constant
+    ``int p^2`` is ``J(s) = int g^2 - 2 E_p[g] = (s / q) (1 - q/2 - 2 H)``.
+    ``E_p`` is one fixed Gauss-Legendre rule on p's probability scale, at
+    nodes ``p.ppf(u_i)`` computed once per fit, so one pass of exponentials
+    gives ``J``, ``J'`` and ``J''``.  The same rule gives p's mean above
+    ``lo``, which centres a 9-point log grid of rates spanning 10^4; its
+    error on heavy tails is far smaller than that span.  The grid must
+    bracket an interior minimum of ``J``, or :class:`FitError` is raised.
+    Newton's method on ``J' = 0`` then runs from the grid's best point,
+    bisecting the bracket that the signs of ``J'`` keep whenever a step
+    would leave it, and stops after a step of at most ``_LSQ_RTOL``
+    relative, or after ``_LSQ_MAX_STEPS`` steps.
     """
     u, w = _gauss_legendre(_LSQ_NODES)
-    x = [p.ppf(ui) for ui in u]
+    d = [p.ppf(ui) - p.lo for ui in u]
+    wd = [wi * di for wi, di in zip(w, d)]
+    wdd = [wi * di for wi, di in zip(wd, d)]
+    span = p.hi - p.lo
 
-    def objective(lam: float) -> float:
-        g = TruncatedExponential(lam, p.lo, p.hi)
-        g_sq = (2.0 - g._q) / (2.0 * lam * g._q)
-        return g_sq - 2.0 * math.fsum([wi * g.pdf(xi) for wi, xi in zip(w, x)])
+    def objective(s: float) -> tuple[float, float, float]:
+        """``J(s)``, ``J'(s)`` and ``J''(s)``, from ``J = r (1 - 2 H) - s/2``, ``r = s / q``."""
+        e = [exp(-s * di) for di in d]
+        h = math.fsum([wi * ei for wi, ei in zip(w, e)])
+        h1 = math.fsum([wi * ei for wi, ei in zip(wd, e)])  # -H'
+        h2 = math.fsum([wi * ei for wi, ei in zip(wdd, e)])  # H''
+        if math.isinf(span):
+            r, r1, r2 = s, 1.0, 0.0
+        else:
+            q = -expm1(-s * span)
+            dq = span * (1.0 - q)  # q', and q'' = -span q'
+            r = s / q
+            r1 = (q - s * dq) / (q * q)
+            r2 = (s * span - 2.0) * dq / (q * q) + 2.0 * s * dq * dq / (q * q * q)
+        return (
+            r * (1.0 - 2.0 * h) - 0.5 * s,
+            r1 * (1.0 - 2.0 * h) + 2.0 * r * h1 - 0.5,
+            r2 * (1.0 - 2.0 * h) + 4.0 * r1 * h1 - 2.0 * r * h2,
+        )
 
-    m = math.fsum([wi * xi for wi, xi in zip(w, x)]) - p.lo
-    a = log(m / 100.0)
-    step = (log(m * 100.0) - a) / 40
-    grid = [exp(a + i * step) for i in range(41)]
-    lam, j = _grid_then_golden(objective, grid)
-    if j == 0 or j == len(grid) - 1:
+    m = math.fsum(wd)
+    a = -log(m * 100.0)
+    step = (-log(m / 100.0) - a) / (_LSQ_GRID - 1)
+    grid = [exp(a + i * step) for i in range(_LSQ_GRID)]
+    values = [objective(s) for s in grid]
+    j = min(range(_LSQ_GRID), key=lambda i: values[i][0])
+    if j == 0 or j == _LSQ_GRID - 1:
         raise FitError("no interior least-squares minimum bracketed")
-    return lam
+    lo, hi = grid[j - 1], grid[j + 1]
+    s, (_, slope, curv) = grid[j], values[j]
+    for _ in range(_LSQ_MAX_STEPS):
+        if slope < 0.0:
+            lo = s
+        else:
+            hi = s
+        if curv > 0.0 and lo < s - slope / curv < hi:
+            nxt = s - slope / curv
+        else:
+            nxt = 0.5 * (lo + hi)
+        done = abs(nxt - s) <= _LSQ_RTOL * s
+        s = nxt
+        if done:
+            break
+        _, slope, curv = objective(s)
+    return 1.0 / s

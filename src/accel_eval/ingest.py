@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import R_RANGE, V_RANGE, default_config_dict
-from .distributions import FitError, _grid_then_golden
+from .distributions import FitError
 
 __all__ = [
     "FitReport",
@@ -38,6 +38,10 @@ __all__ = [
 MAX_V_INTERVALS = 1000  # most intervals a speed bin width may split V_RANGE into
 
 _COLUMNS = ("v", "v_l", "r_l", "r_l_dot")
+
+_XTOL = 1e-12  # bracket width at which a golden-section polish stops, unless
+# that is under 4 ulp of the bracket, where golden steps stop shrinking it
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,27 @@ def fit_exponential_mle(samples) -> FitReport:
     loglik = -n * math.log(lam) - float(x.sum()) / lam
     bic = 1 * math.log(n) - 2.0 * loglik
     return FitReport(params={"mean": lam}, n_params=1, loglik=loglik, bic=bic, n=n)
+
+
+def _grid_then_golden(f, grid) -> tuple[float, int]:
+    """Golden-section minimum (Kiefer 1953) of ``f`` between the neighbours of
+    its argmin ``j`` over ``grid``; returns it and ``j``, so that the caller
+    decides which edge of the grid is an error."""
+    values = [f(g) for g in grid]
+    j = values.index(min(values))
+    a, b = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > max(_XTOL, 4.0 * math.ulp(max(abs(a), abs(b)))):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b), j
 
 
 def fit_pareto(samples, theta: float | None = None) -> FitReport:

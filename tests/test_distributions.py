@@ -13,23 +13,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
 import accel_eval
-from accel_eval import fmath
+from accel_eval import distributions, fmath
 from accel_eval.distributions import (
     EmpiricalDist,
     FitError,
     TruncatedExponential,
     TruncatedPareto,
     _clip,
+    _gauss_legendre,
     exp_density_ratio,
     lsq_exponential_of_pareto,
     tilt_exponential,
 )
-from accel_eval.ingest import fit_exponential_mle, fit_pareto
+from accel_eval.ingest import _grid_then_golden, fit_exponential_mle, fit_pareto
 
 from test_ingest import _synthetic_rows, _write_csv
 
@@ -43,7 +44,7 @@ ORACLE_CDF = 0.7277998627129141
 # (k=0.02, sigma=0.0205, theta=lo=1/75, hi=10), as the fit computes it, and
 # the true minimiser of the same objective (45-digit mpmath root of its
 # derivative: 0.020602124911576926248...).
-DEFAULT_SURROGATE_MEAN = 0.02060212499623272
+DEFAULT_SURROGATE_MEAN = 0.020602124882673677
 SURROGATE_MEAN_ORACLE = 0.020602124911576928
 
 
@@ -341,7 +342,7 @@ def test_lsq_surrogate_mean_frozen_and_locally_optimal():
     p = TruncatedPareto(0.02, 0.0205, 1 / 75, 1 / 75, 10.0)
     lam = lsq_exponential_of_pareto(p)
     assert lam == pytest.approx(DEFAULT_SURROGATE_MEAN, rel=1e-9)
-    # The objective is flat at its minimum: rounding decides the last digits.
+    # What is left is the error of the 128-node rule, 1.4e-9 here.
     assert abs(lam / SURROGATE_MEAN_ORACLE - 1.0) < 1e-8
     # Independent oracle: trapezoid-rule objective must rise on both sides.
     xs = np.linspace(p.lo, p.hi, 20001)
@@ -370,18 +371,93 @@ def _squared_error_by_quad(p, lam):
     )
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(
+# Inverse-range laws the surrogate fit is checked on.
+_SURROGATE_MODELS = dict(
     k=st.floats(0.01, 0.5),
     sigma=st.floats(0.005, 0.2),
     hi=st.sampled_from([10.0, math.inf]),
 )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(**_SURROGATE_MODELS)
 def test_lsq_surrogate_beats_nearby_means(k, sigma, hi):
     p = TruncatedPareto(k, sigma, 1 / 75, 1 / 75, hi)
     lam = lsq_exponential_of_pareto(p)
     err = _squared_error_by_quad(p, lam)
     assert err < _squared_error_by_quad(p, lam * 0.99)
     assert err < _squared_error_by_quad(p, lam * 1.01)
+
+
+def _golden_surrogate_mean(p):
+    """The surrogate mean by the earlier fit, kept as a reference: the same
+    128-node objective in the mean ``lam``, minimized over a 41-point log grid
+    and then by golden section down to a 1e-12 bracket."""
+    u, w = _gauss_legendre(128)
+    x = [p.ppf(ui) for ui in u]
+
+    def objective(lam):
+        g = TruncatedExponential(lam, p.lo, p.hi)
+        g_sq = (2.0 - g._q) / (2.0 * lam * g._q)
+        return g_sq - 2.0 * math.fsum([wi * g.pdf(xi) for wi, xi in zip(w, x)])
+
+    m = math.fsum([wi * xi for wi, xi in zip(w, x)]) - p.lo
+    a = math.log(m / 100.0)
+    step = (math.log(m * 100.0) - a) / 40
+    grid = [math.exp(a + i * step) for i in range(41)]
+    lam, j = _grid_then_golden(objective, grid)
+    if j == 0 or j == len(grid) - 1:
+        raise FitError("no interior least-squares minimum bracketed")
+    return lam
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(**_SURROGATE_MODELS)
+@example(k=0.02, sigma=1e3, hi=10.0)  # near-uniform: both must refuse
+@example(k=0.2, sigma=0.2, hi=1.0)  # short ranges, where g's truncation
+@example(k=0.5, sigma=0.5, hi=0.5)  # moves the fit by up to 40%
+def test_lsq_surrogate_matches_golden_section_reference(k, sigma, hi):
+    p = TruncatedPareto(k, sigma, 1 / 75, 1 / 75, hi)
+    try:
+        want = _golden_surrogate_mean(p)
+    except FitError:
+        with pytest.raises(FitError):
+            lsq_exponential_of_pareto(p)
+        return
+    assert lsq_exponential_of_pareto(p) == pytest.approx(want, rel=1e-7)
+
+
+def test_lsq_surrogate_fit_cost(monkeypatch):
+    # One pass of the 128-node objective is 128 exponentials.  The fit makes
+    # 12 passes (9 grid points and 3 Newton steps) where a grid and golden
+    # section made 91; this bound fails at 20.
+    p = TruncatedPareto(0.02, 0.0205, 1 / 75, 1 / 75, 10.0)
+    calls = []
+
+    def counted_exp(x):
+        calls.append(x)
+        return fmath.exp(x)
+
+    monkeypatch.setattr(distributions, "exp", counted_exp)
+    lsq_exponential_of_pareto(p)
+    assert 0 < len(calls) <= 2500
+
+
+@pytest.mark.parametrize("n", [2, 8, 32, 128])
+def test_gauss_legendre_rule(n):
+    u, w = _gauss_legendre(n)
+    assert len(u) == len(w) == n
+    assert all(0.0 < a < b < 1.0 for a, b in zip(u, u[1:]))
+    # Symmetric about 1/2, exactly.
+    assert all(a + b == 1.0 for a, b in zip(u, reversed(u)))
+    assert w == w[::-1]
+    # Exact for polynomials up to degree 2n - 1.  The bound is in ulps of
+    # 1.0, the weights' sum: a node near 1 carries an absolute error of that
+    # size into x^k, however small 1/(k+1) is.
+    ulp = math.ulp(1.0)
+    assert abs(math.fsum(w) - 1.0) <= 4 * ulp
+    for k in range(2 * n):
+        assert abs(math.fsum([wi * ui**k for wi, ui in zip(w, u)]) - 1.0 / (k + 1)) <= 4 * ulp, k
 
 
 def test_run_path_loads_no_scipy(tmp_path):
@@ -484,9 +560,9 @@ def test_empirical_dist_validation():
 
 
 def test_lsq_surrogate_scales_with_the_law():
-    # Scaling the law scales its surrogate mean.  At 1e6 the float spacing
-    # of the bracket exceeds the absolute stopping width, so this also
-    # checks that the polish still stops there.
+    # Scaling the law scales its surrogate mean.  The fit's grid is centred
+    # on the law's mean and its Newton steps stop at a relative width, so
+    # nothing in it depends on the law's absolute scale.
     s = 1e6
     p = TruncatedPareto(0.02, 0.0205, 1 / 75, 1 / 75, 10.0)
     scaled = TruncatedPareto(0.02, 0.0205 * s, s / 75, s / 75, 10.0 * s)
