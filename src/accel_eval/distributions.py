@@ -32,8 +32,8 @@ __all__ = [
 
 _LSQ_NODES = 128  # Gauss-Legendre nodes of the least-squares surrogate fit
 _LSQ_GRID = 9  # points of the log grid that brackets the fit, 10^4 wide
-_LSQ_RTOL = 1e-13  # relative Newton step at which the fit stops
-_LSQ_MAX_STEPS = 50  # cap on the fit's Newton and bisection steps
+_NEWTON_RTOL = 1e-13  # relative Newton step at which a fit stops
+_NEWTON_MAX_STEPS = 50  # cap on a fit's Newton and bisection steps
 
 
 class FitError(ValueError):
@@ -55,7 +55,7 @@ def _clip(x: float, lo: float, hi: float) -> float:
 
 def _check_u(u: float) -> float:
     """``u``, once it lies in [0, 1]."""
-    if u < 0.0 or u > 1.0:
+    if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
     return u
 
@@ -301,11 +301,8 @@ def lsq_exponential_of_pareto(p: TruncatedPareto) -> float:
     gives ``J``, ``J'`` and ``J''``.  The same rule gives p's mean above
     ``lo``, which centres a 9-point log grid of rates spanning 10^4; its
     error on heavy tails is far smaller than that span.  The grid must
-    bracket an interior minimum of ``J``, or :class:`FitError` is raised.
-    Newton's method on ``J' = 0`` then runs from the grid's best point,
-    bisecting the bracket that the signs of ``J'`` keep whenever a step
-    would leave it, and stops after a step of at most ``_LSQ_RTOL``
-    relative, or after ``_LSQ_MAX_STEPS`` steps.
+    bracket an interior minimum of ``J``, or :class:`FitError` is raised;
+    :func:`_newton_on_grid` then polishes it with Newton steps on ``J' = 0``.
     """
     u, w = _gauss_legendre(_LSQ_NODES)
     d = [p.ppf(ui) - p.lo for ui in u]
@@ -336,25 +333,43 @@ def lsq_exponential_of_pareto(p: TruncatedPareto) -> float:
     m = math.fsum(wd)
     a = -log(m * 100.0)
     step = (-log(m / 100.0) - a) / (_LSQ_GRID - 1)
-    grid = [exp(a + i * step) for i in range(_LSQ_GRID)]
-    values = [objective(s) for s in grid]
-    j = min(range(_LSQ_GRID), key=lambda i: values[i][0])
+    s, j = _newton_on_grid(objective, [exp(a + i * step) for i in range(_LSQ_GRID)])
     if j == 0 or j == _LSQ_GRID - 1:
         raise FitError("no interior least-squares minimum bracketed")
+    return 1.0 / s
+
+
+def _newton_on_grid(objective, grid: list[float]) -> tuple[float, int]:
+    """Minimum of ``objective`` next to ``grid[j]``, the best point of a
+    positive, increasing grid; returns it and ``j``.
+
+    ``objective(x)`` returns ``(f, f', f'')``.  At an edge ``j`` the minimum
+    is ``grid[j]``, and the caller decides what that edge means.  Otherwise
+    Newton's method on ``f' = 0`` runs from ``grid[j]``, bisecting the
+    bracket that the signs of ``f'`` keep whenever a step would leave it or
+    ``f''`` is not positive, and stops after a step of at most
+    ``_NEWTON_RTOL`` relative, or after ``_NEWTON_MAX_STEPS`` steps.  It
+    never compares two values of ``f``, which differ by less than their
+    rounding near the minimum, so the minimum is as accurate as ``f'``.
+    """
+    values = [objective(x) for x in grid]
+    j = min(range(len(grid)), key=lambda i: values[i][0])
+    if j == 0 or j == len(grid) - 1:
+        return grid[j], j
     lo, hi = grid[j - 1], grid[j + 1]
-    s, (_, slope, curv) = grid[j], values[j]
-    for _ in range(_LSQ_MAX_STEPS):
+    x, (_, slope, curv) = grid[j], values[j]
+    for _ in range(_NEWTON_MAX_STEPS):
         if slope < 0.0:
-            lo = s
+            lo = x
         else:
-            hi = s
-        if curv > 0.0 and lo < s - slope / curv < hi:
-            nxt = s - slope / curv
+            hi = x
+        if curv > 0.0 and lo < x - slope / curv < hi:
+            nxt = x - slope / curv
         else:
             nxt = 0.5 * (lo + hi)
-        done = abs(nxt - s) <= _LSQ_RTOL * s
-        s = nxt
+        done = abs(nxt - x) <= _NEWTON_RTOL * x
+        x = nxt
         if done:
             break
-        _, slope, curv = objective(s)
-    return 1.0 / s
+        _, slope, curv = objective(x)
+    return x, j

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import R_RANGE, V_RANGE, default_config_dict
-from .distributions import FitError
+from .distributions import FitError, _newton_on_grid
 
 __all__ = [
     "FitReport",
@@ -38,10 +38,6 @@ __all__ = [
 MAX_V_INTERVALS = 1000  # most intervals a speed bin width may split V_RANGE into
 
 _COLUMNS = ("v", "v_l", "r_l", "r_l_dot")
-
-_XTOL = 1e-12  # bracket width at which a golden-section polish stops, unless
-# that is under 4 ulp of the bracket, where golden steps stop shrinking it
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step
 
 
 @dataclass(frozen=True)
@@ -74,27 +70,6 @@ def fit_exponential_mle(samples) -> FitReport:
     return FitReport(params={"mean": lam}, n_params=1, loglik=loglik, bic=bic, n=n)
 
 
-def _grid_then_golden(f, grid) -> tuple[float, int]:
-    """Golden-section minimum (Kiefer 1953) of ``f`` between the neighbours of
-    its argmin ``j`` over ``grid``; returns it and ``j``, so that the caller
-    decides which edge of the grid is an error."""
-    values = [f(g) for g in grid]
-    j = values.index(min(values))
-    a, b = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > max(_XTOL, 4.0 * math.ulp(max(abs(a), abs(b)))):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b), j
-
-
 def fit_pareto(samples, theta: float | None = None) -> FitReport:
     """Fit a generalized Pareto law (k, sigma) by maximum likelihood.
 
@@ -102,10 +77,15 @@ def fit_pareto(samples, theta: float | None = None) -> FitReport:
     minimum); only shape and scale are optimized, so ``n_params`` is 2.
     With ``t = k / sigma`` and excesses ``x = samples - theta`` the best
     shape is ``k(t) = mean(log1p(t x))``, which leaves the profile
-    log-likelihood ``-n (log k(t) - log t + k(t) + 1)`` (Grimshaw 1993),
-    maximized over ``log(t mean(x))`` on a grid from 1e-12 to 1e6.  A
-    maximum at the low edge is the exponential limit k -> 0 (k ~ 1e-12,
-    sigma ~ mean(x)); one at the high edge raises :class:`FitError`.
+    log-likelihood ``-n (log k(t) - log t + k(t) + 1)`` (Grimshaw 1993).
+    Its maximum over ``t`` is bracketed on a 41-point log grid from
+    1e-12 to 1e6 over ``mean(x)`` and polished by :func:`_newton_on_grid`,
+    with one numpy pass per point for ``k``, ``k' = mean(x / (1 + t x))``
+    and ``k'' = -mean((x / (1 + t x))^2)``.  A maximum at the low edge is
+    the exponential limit k -> 0 (k ~ 1e-12, sigma ~ mean(x)); one at the
+    high edge raises :class:`FitError`.  The excesses are sorted once, so
+    every mean sums in one order and the fit depends only on the set of
+    samples, not on their order.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 10:
@@ -114,26 +94,29 @@ def fit_pareto(samples, theta: float | None = None) -> FitReport:
         theta = float(x.min())
     if np.any(x < theta):
         raise ValueError("samples must be >= theta")
-    excess = x - theta
+    excess = np.sort(x - theta)
     m = float(excess.mean())
     if not m > 0:
         raise ValueError("all samples equal theta; the scale cannot be fitted")
     n = int(x.size)
 
-    def shape(s: float) -> tuple[float, float]:
-        t = math.exp(s) / m
-        return float(np.log1p(t * excess).mean()), t
+    def neg_profile(t: float) -> tuple[float, float, float]:
+        """``n (log k - log t + k + 1)`` and its first two derivatives in ``t``."""
+        tx = t * excess
+        r = excess / (1.0 + tx)
+        k, k1, k2 = float(np.log1p(tx).mean()), float(r.mean()), -float((r * r).mean())
+        return (
+            n * (math.log(k) - math.log(t) + k + 1.0),
+            n * (k1 / k - 1.0 / t + k1),
+            n * (k2 / k - (k1 / k) ** 2 + 1.0 / (t * t) + k2),
+        )
 
-    def neg_profile(s: float) -> float:
-        k, t = shape(s)
-        return n * (math.log(k) - math.log(t) + k + 1.0)
-
-    grid = np.linspace(math.log(1e-12), math.log(1e6), 41).tolist()
-    s_hat, j = _grid_then_golden(neg_profile, grid)
+    grid = [math.exp(s) / m for s in np.linspace(math.log(1e-12), math.log(1e6), 41).tolist()]
+    t_hat, j = _newton_on_grid(neg_profile, grid)
     if j == len(grid) - 1:
         raise FitError("generalized Pareto likelihood grows without bound in k / sigma")
-    k_hat, t_hat = shape(s_hat)
-    loglik = -neg_profile(s_hat)
+    k_hat = float(np.log1p(t_hat * excess).mean())
+    loglik = -neg_profile(t_hat)[0]
     return FitReport(
         params={"k": k_hat, "sigma": k_hat / t_hat, "theta": float(theta)},
         n_params=2, loglik=loglik, bic=2 * math.log(n) - 2.0 * loglik, n=n,
@@ -224,15 +207,16 @@ def build_model_section(
     pareto = fit_pareto(r_inv, theta=r_inv_lo)
     exponential = fit_exponential_mle(r_inv - r_inv_lo)
 
-    # Inverse TTC means per lead-speed interval.
+    # Inverse TTC means per lead-speed interval, exactly summed.
     ttc_inv = -r_l_dot / r_l
     table: list[tuple[float, float]] = []
     lo = V_RANGE[0]
     while lo < V_RANGE[1]:
         hi = min(lo + ttc_speed_bin_width, V_RANGE[1])
         sel = (v_l >= lo) & (v_l < hi)
-        if int(sel.sum()) >= min_bin_count:
-            table.append(((lo + hi) / 2.0, float(ttc_inv[sel].mean())))
+        count = int(sel.sum())
+        if count >= min_bin_count:
+            table.append(((lo + hi) / 2.0, math.fsum(ttc_inv[sel].tolist()) / count))
         lo = hi
     if not table:
         raise ValueError(

@@ -5,10 +5,12 @@ from the closed-form survival function and are asserted at float
 precision.
 """
 
+import decimal
 import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from accel_eval.distributions import (
     lsq_exponential_of_pareto,
     tilt_exponential,
 )
-from accel_eval.ingest import _grid_then_golden, fit_exponential_mle, fit_pareto
+from accel_eval.ingest import apply_filters, build_model_section, fit_exponential_mle, fit_pareto
 
 from test_ingest import _synthetic_rows, _write_csv
 
@@ -238,7 +240,7 @@ def test_pareto_tends_to_the_exponential_as_k_vanishes(k):
 
 def test_ppf_rejects_u_outside_the_unit_interval():
     for law in (TruncatedPareto(**ORACLE_PARETO), TruncatedExponential(0.7, 0.2, math.inf)):
-        for u in (-1e-300, 1.0 + 2.0**-52, -math.inf, math.inf):
+        for u in (-1e-300, 1.0 + 2.0**-52, -math.inf, math.inf, math.nan):
             with pytest.raises(ValueError, match=r"^u must lie in \[0, 1\]$"):
                 law.ppf(u)
 
@@ -338,6 +340,29 @@ def test_fit_pareto_matches_nelder_mead(k, sigma, n, seed):
     assert rep.loglik >= oracle - 1e-9 * abs(oracle)
 
 
+def test_fit_pareto_is_a_root_of_the_profile_slope():
+    # CI's synthetic event file, fitted as `fit` fits it.  One Newton step on
+    # the profile's derivative in t = k / sigma, at 40 digits, must move the
+    # fit's t by under 1e-10 relative.
+    rows = _synthetic_rows(1500, seed=41)
+    data = {c: rows[:, i] for i, c in enumerate(("v", "v_l", "r_l", "r_l_dot"))}
+    rep = build_model_section(data)[1].pareto
+    mask, _ = apply_filters(data)
+    excess = (1.0 / rows[mask, 2] - rep.params["theta"]).tolist()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        t = Decimal(rep.params["k"]) / Decimal(rep.params["sigma"])
+        n = len(excess)
+        k = k1 = k2 = Decimal(0)
+        for e in map(Decimal, excess):
+            r = e / (1 + t * e)
+            k, k1, k2 = k + (1 + t * e).ln(), k1 + r, k2 - r * r
+        k, k1, k2 = k / n, k1 / n, k2 / n
+        slope = k1 / k - 1 / t + k1
+        curv = k2 / k - (k1 / k) ** 2 + 1 / (t * t) + k2
+        assert abs(slope / curv) < Decimal("1e-10") * t
+
+
 def test_lsq_surrogate_mean_frozen_and_locally_optimal():
     p = TruncatedPareto(0.02, 0.0205, 1 / 75, 1 / 75, 10.0)
     lam = lsq_exponential_of_pareto(p)
@@ -387,6 +412,29 @@ def test_lsq_surrogate_beats_nearby_means(k, sigma, hi):
     err = _squared_error_by_quad(p, lam)
     assert err < _squared_error_by_quad(p, lam * 0.99)
     assert err < _squared_error_by_quad(p, lam * 1.01)
+
+
+def _grid_then_golden(f, grid):
+    """Golden-section minimum (Kiefer 1953) of ``f`` between the neighbours of
+    its argmin ``j`` over ``grid``, down to a 1e-12 bracket (or 4 ulp of it);
+    returns it and ``j``.  The package's fits minimized this way before they
+    became Newton methods."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    values = [f(g) for g in grid]
+    j = values.index(min(values))
+    a, b = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > max(1e-12, 4.0 * math.ulp(max(abs(a), abs(b)))):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b), j
 
 
 def _golden_surrogate_mean(p):

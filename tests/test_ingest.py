@@ -115,6 +115,18 @@ def test_synthetic_round_trip_recovers_model(tmp_path):
     assert cfg.model.lambda_ttc(1000.0) == 0.01  # extrapolation hits the floor
 
 
+def test_fit_depends_only_on_the_set_of_records():
+    # The fit sorts the excesses before its means, and the inverse-TTC table
+    # sums each interval exactly, so shuffling the rows changes no bit.
+    rows = _synthetic_rows(1500, seed=41)
+    shuffled = np.random.default_rng(5).permutation(rows)
+    sections = [
+        build_model_section({c: r[:, i] for i, c in enumerate(("v", "v_l", "r_l", "r_l_dot"))})[0]
+        for r in (rows, shuffled)
+    ]
+    assert sections[0] == sections[1]
+
+
 def test_sparse_speed_intervals_are_dropped(tmp_path):
     # All leads near 10 m/s except a lone 30 m/s record: the interval
     # around 30 is short of min_bin_count and must vanish from the table.
