@@ -238,6 +238,9 @@ class EmpiricalDist:
             for x in w:
                 acc += x
                 cum.append(acc)
+            # Ends at the last bin with weight, the one a u_bin * total at or
+            # past the rounded running sum must fall back to.
+            cum = cum[: max(j for j, x in enumerate(w) if x > 0.0) + 1]
             sampler = (left, overlap, total, cum)
             self._samplers[(lo, hi)] = sampler
         left, overlap, total, cum = sampler

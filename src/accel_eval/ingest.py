@@ -192,20 +192,24 @@ def build_model_section(
     if n_kept < 10:
         raise ValueError(f"only {n_kept} records survive the envelope filters; need >= 10")
 
+    # The default model section; the fit puts its own values in place.
+    section = default_config_dict()["model"]
+
     # Lead-speed histogram over the envelope.
     edges = list(np.arange(V_RANGE[0], V_RANGE[1], v_bin_width))
     if edges[-1] < V_RANGE[1]:
         edges.append(V_RANGE[1])
     counts, _ = np.histogram(v_l, bins=edges)
-    mass = counts / counts.sum()
+    section["velocity"] = {"bin_edges": [float(e) for e in edges],
+                           "bin_mass": (counts / counts.sum()).tolist()}
 
-    # Inverse range: heavy-tailed fit anchored at the envelope bound, so
-    # the fitted law and its truncation share a support.
-    r_inv_lo = 1.0 / R_RANGE[1]
-    r_inv_hi = 1.0 / R_RANGE[0]
+    # Inverse range: heavy-tailed fit anchored at the default law's lower
+    # bound, so the fitted law and its truncation share a support.
+    inv = section["inverse_range"]
     r_inv = 1.0 / r_l
-    pareto = fit_pareto(r_inv, theta=r_inv_lo)
-    exponential = fit_exponential_mle(r_inv - r_inv_lo)
+    pareto = fit_pareto(r_inv, theta=inv["lo"])
+    exponential = fit_exponential_mle(r_inv - inv["lo"])
+    inv.update(pareto.params)
 
     # Inverse TTC means per lead-speed interval, exactly summed.
     ttc_inv = -r_l_dot / r_l
@@ -224,25 +228,7 @@ def build_model_section(
             "ttc_lambda table would be empty"
         )
 
-    defaults = default_config_dict()["model"]
-    section = {
-        "velocity": {
-            "bin_edges": [float(e) for e in edges],
-            "bin_mass": [float(m) for m in mass],
-        },
-        "inverse_range": {
-            "k": pareto.params["k"],
-            "sigma": pareto.params["sigma"],
-            "theta": pareto.params["theta"],
-            "lo": r_inv_lo,
-            "hi": r_inv_hi,
-        },
-        "ttc_lambda": {
-            "table": [[float(v), float(lam)] for v, lam in table],
-            "floor": defaults["ttc_lambda"]["floor"],
-        },
-        "velocity_bins": defaults["velocity_bins"],
-    }
+    section["ttc_lambda"]["table"] = [[float(v), float(lam)] for v, lam in table]
     summary = IngestSummary(
         n_total=len(mask),
         n_kept=n_kept,

@@ -18,15 +18,16 @@ must reproduce them exactly.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from . import __version__
 from .config import ExperimentConfig, config_digest
-from .cross_entropy import CeState, ce_search
+from .cross_entropy import CeIterate, CeState, ce_search
 from .estimation import (
     MILE_M,
     EstimatorAccumulator,
@@ -96,10 +97,8 @@ def _estimate_combo(
                 trace = simulate(s, plant)
                 update(_indicator(cfg, event, trace), s.likelihood, trace.distance_m)
                 if log is not None:
-                    log.write(_csv_line(
-                        (i, s.v_l, s.r_inv, s.ttc_inv, s.likelihood, trace.outcome,
-                         trace.min_range, trace.delta_v)
-                    ))
+                    log.writerow((i, s.v_l, s.r_inv, s.ttc_inv, s.likelihood, trace.outcome,
+                                  trace.min_range, trace.delta_v))
                     if trace.outcome != "none" and traced < _MAX_TRACE_FILES:
                         # The drawn scenario again, with recording; one
                         # trace's states at a time are held.
@@ -404,39 +403,30 @@ def _csv_name(section: str, key: str) -> str:
     return prefix + key.replace("/", "_") + ".csv"
 
 
-def _csv_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (int, str)):
-        return str(x)
-    return repr(float(x))
-
-
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def _csv_line(row) -> str:
-    return ",".join(map(_csv_cell, row)) + "\n"
-
-
+@contextmanager
 def _open_csv(path: str, header: str):
-    fh = open(path, "w", encoding="utf-8", newline="\n")
-    fh.write(header + "\n")
-    return fh
+    """A csv writer on a new file at ``path`` whose first line is ``header``:
+    None is an empty field, a float its repr, an int or a string its str."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        yield csv.writer(fh, lineterminator="\n")
 
 
-def _write_csv(path: str, header: str, lines) -> None:
-    # Line by line: no file is built as one string in memory.
-    with _open_csv(path, header) as fh:
-        fh.writelines(lines)
+def _write_csv(path: str, header: str, rows) -> None:
+    # Row by row: no file is built as one string in memory.
+    with _open_csv(path, header) as w:
+        w.writerows(rows)
 
 
 def _write_trace(trace_dir: str, i: int, trace) -> None:
     os.makedirs(trace_dir, exist_ok=True)
     _write_csv(os.path.join(trace_dir, f"{i:06d}.csv"), "t,r,v,a_cmd,a,mode",
-               (_csv_line((st.t, st.r, st.v, st.a_cmd, st.a, st.mode)) for st in trace.states))
+               ((st.t, st.r, st.v, st.a_cmd, st.a, st.mode) for st in trace.states))
 
 
 def _write_json(path: str, d: dict) -> None:
@@ -451,7 +441,7 @@ def write_outputs(d: dict, out_dir: str) -> None:
     _write_json(os.path.join(out_dir, "report.json"), d)
     for key, rows in d["convergence"].items():
         _write_csv(os.path.join(out_dir, _csv_name("convergence", key)),
-                   "n,estimate,rel_half_width,sample_variance", map(_csv_line, rows))
+                   "n,estimate,rel_half_width,sample_variance", rows)
     for key, st in d["ce"].items():
         _write_csv(os.path.join(out_dir, _csv_name("ce", key)),
-                   "iteration,vartheta_r,vartheta_ttc,hits,n", map(_csv_line, st["history"]))
+                   ",".join(CeIterate._fields), st["history"])

@@ -415,6 +415,14 @@ def _without_row_key(key):
     return edit
 
 
+def _row_event(value):
+    def edit(text):
+        d = json.loads(text)
+        d["rows"][0]["event"] = value
+        return json.dumps(d)
+    return edit
+
+
 @pytest.mark.parametrize("change, where", [
     ({"resolved_config": {}}, "resolved_config has no 'confidence' key"),
     ({"convergence": 5}, "convergence is not a mapping"),
@@ -434,10 +442,21 @@ def _without_row_key(key):
     ({"ce": {"crash/a_b": _STATE, "crash_a/b": _STATE}},
      "ce['crash_a/b'] names ce_history_crash_a_b.csv, as another key does"),
     *((_without_row_key(k), f"rows[0] has no {k!r} key") for k in ROW_KEYS),
+    ({"resolved_config": {"confidence": {"alpha": "0.2", "beta": 0.2}}},
+     "resolved_config.confidence.alpha is not a number"),
+    ({"rows": {}}, "rows is not a list"),
+    (_row_event(5), "rows[0].event is not a string"),
+    ({"convergence": {"conflict/high/is": 5}}, "convergence['conflict/high/is'] is not a list"),
+    ({"convergence": {"conflict/high/is": [5]}},
+     "convergence['conflict/high/is'][0] is not a list"),
+    ({"convergence": {"conflict/high/is": [[200, {}]]}},
+     "convergence['conflict/high/is'][0][1] is not a number or a string"),
 ], ids=["empty-resolved-config", "convergence-not-a-mapping", "row-without-keys", "nan",
         "int-past-float-range", "float-past-float-range", "nul-in-key",
         "two-convergence-keys-one-file", "two-ce-keys-one-file",
-        *(f"row-without-{k}" for k in ROW_KEYS)])
+        *(f"row-without-{k}" for k in ROW_KEYS),
+        "alpha-a-string", "rows-not-a-list", "row-text-not-a-string", "table-not-a-list",
+        "table-row-not-a-list", "table-cell-a-mapping"])
 def test_report_checks_values_before_writing(tmp_path, capsys, change, where):
     """``change`` is merged into the stored report, or edits its text when callable."""
     stored = tmp_path / "stored"
@@ -453,6 +472,39 @@ def test_report_checks_values_before_writing(tmp_path, capsys, change, where):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and where in err
     assert list(out.iterdir()) == []
+
+
+def test_report_rerenders_a_run_that_drew_no_event(tmp_path, capsys):
+    # 200 draws of crash/high see no crash: the row's relative half-width is
+    # null, run exits 2, and report gives the same bytes back.
+    default = str(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", "--config", default, "--event", "crash", "--bin", "high",
+                 "--mode", "cmc", "--n-cap", "200", "--out", str(first)]) == 2
+    (row,) = json.loads((first / "report.json").read_text(encoding="utf-8"))["rows"]
+    assert row["rel_half_width"] is None and row["n"] == 200
+    assert main(["report", str(first), "--out", str(second)]) == 0
+    capsys.readouterr()
+    files = sorted(p.name for p in first.iterdir())
+    assert files == sorted(p.name for p in second.iterdir())
+    for name in files:
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_report_quotes_a_string_cell_that_needs_it(tmp_path, capsys):
+    # A stored table may hold strings; one with a comma stays one CSV field.
+    stored = tmp_path / "stored"
+    assert main(["run", "--config", _fast_config(tmp_path), "--out", str(stored)]) == 0
+    path = stored / "report.json"
+    d = json.loads(path.read_text(encoding="utf-8"))
+    d["ce"] = {"conflict/high": {**_STATE, "history": [[0, "a,b", 'say "hi"', 1, 2]]}}
+    path.write_text(json.dumps(d), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", str(stored), "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "ce_history_conflict_high.csv", encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [["iteration", "vartheta_r", "vartheta_ttc", "hits", "n"],
+                                        ["0", "a,b", 'say "hi"', "1", "2"]]
 
 
 @pytest.mark.parametrize("command", ["run", "search"])

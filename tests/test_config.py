@@ -269,6 +269,8 @@ def test_default_dict_is_a_fresh_copy():
         ({"model": {"velocity": {"bin_edges": {"a": 1}}}}, r"model\.velocity\.bin_edges"),
         ({"model": {"velocity": {"bin_mass": None}}}, r"model\.velocity\.bin_mass"),
         ({"model": {"velocity": {"bin_mass": [[0.5], [0.5]]}}}, r"model\.velocity\.bin_mass"),
+        ({"model": {"ttc_lambda": {"table": [[5.0, 0.1, 0.2]]}}}, r"model\.ttc_lambda\.table"),
+        ({"plant": {"ttc_aeb_schedule": [5.0, 1.3]}}, r"plant\.ttc_aeb_schedule"),
     ],
 )
 def test_list_keys_reject_non_lists_by_name(data, path):

@@ -287,6 +287,8 @@ def test_fit_pareto_needs_enough_samples():
         fit_pareto(np.ones(9))
     with pytest.raises(ValueError, match="all samples equal theta"):
         fit_pareto(np.full(20, 0.5))
+    with pytest.raises(ValueError, match="samples must be >= theta"):
+        fit_pareto(np.linspace(1.0, 2.0, 20), theta=1.5)
 
 
 def test_fit_pareto_grid_edges():
@@ -591,6 +593,30 @@ def test_empirical_dist_sampling_stays_in_range():
         assert 1.0 <= x < 2.5
     # u_pos places the draw linearly within the selected bin.
     assert d.sample_in_range(0.0, 1.0, 0.0, 0.5) == 0.5
+
+
+# Counts 7..25 over the default 2 m/s lead-speed edges, as fit writes them:
+# the running sum of their masses over (5, 15) rounds below its exact total.
+_V_EDGES = [float(v) for v in range(2, 41, 2)]
+_COUNTS = list(range(7, 26))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(0, 50), min_size=19, max_size=19).filter(any),
+       lo=st.floats(0.0, 42.0), width=st.floats(0.01, 40.0),
+       u_bin=st.sampled_from([0.0, 1 - 2**-53, 1 - 2**-52]), u_pos=st.floats(0.0, 0.999))
+@example(counts=_COUNTS, lo=5.0, width=10.0, u_bin=1 - 2**-53, u_pos=0.5)
+@example(counts=_COUNTS, lo=5.0, width=10.0, u_bin=1 - 2**-52, u_pos=0.5)
+def test_empirical_dist_draw_stays_in_a_weighted_bin_of_its_range(counts, lo, width, u_bin, u_pos):
+    # A u_bin at or past the rounded running sum takes the last bin with
+    # weight, never a bin the range does not reach.
+    d = EmpiricalDist(_V_EDGES, [c / sum(counts) for c in counts])
+    hi = lo + width
+    assume(d.mass_in_range(lo, hi) > 0.0)
+    x = d.sample_in_range(lo, hi, u_bin, u_pos)
+    assert lo <= x <= hi
+    assert any(counts[j] > 0 and a <= x <= b
+               for j, (a, b) in enumerate(zip(_V_EDGES, _V_EDGES[1:])))
 
 
 def test_empirical_dist_validation():

@@ -40,6 +40,9 @@ def test_update_validation():
         acc.update(1.1, 1.0)
     with pytest.raises(ValueError):
         acc.update(0.5, -1.0)
+    for distance in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="distance_m must be finite"):
+            acc.update(0.5, 1.0, distance)
     with pytest.raises(ValueError):
         EstimatorAccumulator().mean()
     one = EstimatorAccumulator()

@@ -46,6 +46,9 @@ def test_config_validation():
         AvConfig(t_lc_max=-1.0)
     with pytest.raises(ValueError):
         AvConfig(r_aeb=1.0)
+    for name in ("a_acc_max", "a_aeb", "r_conflict"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            AvConfig(**{name: -1.0})
     # At ts >= 2 * tau_av the explicit lag update diverges.
     with pytest.raises(ValueError, match="tau_av"):
         AvConfig(tau_av=0.05)

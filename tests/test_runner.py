@@ -62,6 +62,19 @@ def test_row_accounting_is_coherent():
     assert rep["convergence"]["conflict/high/cmc"][-1][0] == rows["cmc"]["n"]
 
 
+def test_a_batch_of_one_draw_is_merged_but_not_checked():
+    # With a check after every draw, the first check waits for the second
+    # draw, as a sample variance needs two; batch size changes no row.
+    one = run_experiment(parse_config({**FAST, "modes": ["cmc"], "n_cap": 60,
+                                       "stopping": {"check_every": 1, "min_samples": 2}}))
+    conv = one["convergence"]["conflict/high/cmc"]
+    assert [c[0] for c in conv] == list(range(2, 61))
+    whole = run_experiment(parse_config({**FAST, "modes": ["cmc"], "n_cap": 60,
+                                         "stopping": {"check_every": 60, "min_samples": 60}}))
+    assert whole["convergence"]["conflict/high/cmc"] == [conv[-1]]
+    assert whole["rows"] == one["rows"]
+
+
 def test_is_listed_before_cmc_still_takes_the_cmc_count():
     # Every mode of an (event, bin) runs before its rows are built, so an
     # is row listed first still reads the converged cmc row's count.

@@ -146,6 +146,10 @@ def test_lambda_ttc_interpolation_and_floor():
     assert m.lambda_ttc(40.0) == pytest.approx(0.04, rel=1e-12)
     # Far extrapolation pins at the floor instead of going nonpositive.
     assert m.lambda_ttc(80.0) == 0.01
+    # A one-entry table is constant, and floored too.
+    assert [make_model(ttc_lambda_table=[(10.0, 0.1)]).lambda_ttc(v)
+            for v in (2.0, 10.0, 80.0)] == [0.1] * 3
+    assert make_model(ttc_lambda_table=[(10.0, 0.005)]).lambda_ttc(10.0) == 0.01
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -186,6 +190,9 @@ def test_model_validation():
         make_model(lambda_floor=0.0)
     with pytest.raises(KeyError):
         make_model().bin_named("nope")
+    for lo in (15.0, 16.0):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            VelocityBin("a", lo, 15.0)
 
 
 def test_validate_proposal_bounds():
