@@ -13,7 +13,6 @@ and says so by ``event_hits == 0``, never by raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -44,16 +43,17 @@ class CeIterate(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class CeState:
-    """Final search state; ``history`` has one entry per iteration.
+class CeState(NamedTuple):
+    """Final search state, which ``_asdict()`` makes a report's ``ce`` entry.
 
-    ``event_hits`` counts the last iteration's hits; 0 marks a failed search.
+    ``history`` has one entry per iteration; ``event_hits`` counts the
+    last iteration's hits, and 0 marks a failed search.
     """
 
-    params: ProposalParams
-    n_per_iter: int
+    vartheta_r: float
+    vartheta_ttc: float
     event_hits: int
+    n_per_iter: int
     history: tuple[CeIterate, ...]
     lambda_r: float
     lambda_ttc_cap: float
@@ -120,11 +120,5 @@ def ce_search(
             )
             model.validate_proposal(params)
         history.append(CeIterate(it, params.vartheta_r, params.vartheta_ttc, len(hits), n_per_iter))
-    return CeState(
-        params=params,
-        n_per_iter=n_per_iter,
-        event_hits=len(hits),
-        history=tuple(history),
-        lambda_r=lam_r,
-        lambda_ttc_cap=lam_cap,
-    )
+    return CeState(params.vartheta_r, params.vartheta_ttc, len(hits), n_per_iter,
+                   tuple(history), lam_r, lam_cap)

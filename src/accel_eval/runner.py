@@ -50,6 +50,8 @@ __all__ = [
 
 _MAX_TRACE_FILES = 20  # per (event, bin, mode) combination when tracing is on
 _SCENARIO_HEADER = "index,v_l,r_inv,ttc_inv,likelihood,outcome,min_range,delta_v"
+# The cells of a convergence row, one per stopping-rule check.
+_CONVERGENCE_COLUMNS = ("n", "estimate", "rel_half_width", "sample_variance")
 
 
 def _ce_event_for(event: str) -> str:
@@ -83,7 +85,7 @@ def _estimate_combo(
     b = cfg.model.bin_named(bin_name)
     ns = stream_namespace(f"estimate/{event}/{bin_name}/{mode}")
     total = EstimatorAccumulator()
-    conv: list[list] = []  # [n, estimate, rel_half_width, sample_variance] per check
+    conv: list[list] = []  # one row of _CONVERGENCE_COLUMNS per check
     seed, plant, sample = cfg.seed, cfg.plant, cfg.model.sample_scenario
     name = f"{event}_{bin_name}_{mode}"
     traced = 0
@@ -195,7 +197,7 @@ def _report(cfg: ExperimentConfig, rows: list[dict], ce: dict[str, CeState],
         },
         "resolved_config": cfg.resolved,
         "rows": rows,
-        "ce": {key: _ce_state_dict(st) for key, st in ce.items()},
+        "ce": {key: st._asdict() for key, st in ce.items()},
         "convergence": convergence,
     }
 
@@ -227,7 +229,8 @@ def run_experiment(cfg: ExperimentConfig, log_dir: str | None = None) -> dict:
                 if mode == "is":
                     params = _warm_params(cfg, event, bin_name)
                     if params is None:
-                        params = ce[f"{_ce_event_for(event)}/{bin_name}"].params
+                        st = ce[f"{_ce_event_for(event)}/{bin_name}"]
+                        params = ProposalParams(st.vartheta_r, st.vartheta_ttc, bin_name)
                 acc, conv, ok = _estimate_combo(cfg, event, bin_name, mode, params, log_dir)
                 convergence[f"{event}/{bin_name}/{mode}"] = conv
                 done[mode] = (acc, ok, params)
@@ -235,18 +238,6 @@ def run_experiment(cfg: ExperimentConfig, log_dir: str | None = None) -> dict:
             rows += [_build_row(cfg, event, bin_name, mode, *done[mode],
                                 cmc_acc if cmc_ok else None) for mode in cfg.modes]
     return _report(cfg, rows, ce, convergence)
-
-
-def _ce_state_dict(st: CeState) -> dict:
-    return {
-        "lambda_r": st.lambda_r,
-        "lambda_ttc_cap": st.lambda_ttc_cap,
-        "vartheta_r": st.params.vartheta_r,
-        "vartheta_ttc": st.params.vartheta_ttc,
-        "event_hits": st.event_hits,
-        "n_per_iter": st.n_per_iter,
-        "history": [list(h) for h in st.history],
-    }
 
 
 def _fmt(x, width: int = 12) -> str:
@@ -342,21 +333,24 @@ def _check_report(d, source: str) -> None:
     def number(x, path: str, none_ok: bool = False) -> None:
         if none_ok and x is None:
             return
-        if not isinstance(x, (int, float)):
+        # A bool is an int, but the summary would print it as yes or NO.
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise bad(path, "is not a number")
         # An int past the float range fails when the summary formats it.
         if not -sys.float_info.max <= x <= sys.float_info.max:
             raise bad(path, "is outside the float range")
 
-    def table(x, path: str) -> None:
+    def table(x, path: str, columns: tuple[str, ...]) -> None:
         if not isinstance(x, list):
             raise bad(path, "is not a list")
         for i, row in enumerate(x):
             if not isinstance(row, list):
                 raise bad(f"{path}[{i}]", "is not a list")
             for j, cell in enumerate(row):
-                if not (cell is None or isinstance(cell, (int, float, str))):
+                if isinstance(cell, bool) or not isinstance(cell, (int, float, str, type(None))):
                     raise bad(f"{path}[{i}][{j}]", "is not a number or a string")
+            if len(row) != len(columns):
+                raise bad(f"{path}[{i}]", f"does not have {len(columns)} cells")
 
     mapping(d if isinstance(d, dict) else {}, "it",
             ("provenance", "resolved_config", "rows", "ce", "convergence"))
@@ -375,7 +369,10 @@ def _check_report(d, source: str) -> None:
             if not isinstance(r[k], str):
                 raise bad(f"rows[{i}].{k}", "is not a string")
         for k in numbers:
-            number(r[k], f"rows[{i}].{k}", none_ok=True)
+            if k != "converged":
+                number(r[k], f"rows[{i}].{k}", none_ok=True)
+            elif not isinstance(r[k], bool):
+                raise bad(f"rows[{i}].{k}", "is not a bool")
     # Each ce or convergence key names one CSV, and each part of it names
     # output files, as a bin name does.
     taken = set()
@@ -389,12 +386,13 @@ def _check_report(d, source: str) -> None:
             taken.add(name)
     for key, st in d["ce"].items():
         path = f"ce[{key!r}]"
-        mapping(st, path, ("vartheta_r", "vartheta_ttc", "event_hits", "n_per_iter", "history"))
-        number(st["vartheta_r"], f"{path}.vartheta_r")
-        number(st["vartheta_ttc"], f"{path}.vartheta_ttc")
-        table(st["history"], f"{path}.history")
+        scalars = ("vartheta_r", "vartheta_ttc", "event_hits", "n_per_iter")
+        mapping(st, path, scalars + ("history",))
+        for k in scalars:
+            number(st[k], f"{path}.{k}")
+        table(st["history"], f"{path}.history", CeIterate._fields)
     for key, rows in d["convergence"].items():
-        table(rows, f"convergence[{key!r}]")
+        table(rows, f"convergence[{key!r}]", _CONVERGENCE_COLUMNS)
 
 
 def _csv_name(section: str, key: str) -> str:
@@ -441,7 +439,7 @@ def write_outputs(d: dict, out_dir: str) -> None:
     _write_json(os.path.join(out_dir, "report.json"), d)
     for key, rows in d["convergence"].items():
         _write_csv(os.path.join(out_dir, _csv_name("convergence", key)),
-                   "n,estimate,rel_half_width,sample_variance", rows)
+                   ",".join(_CONVERGENCE_COLUMNS), rows)
     for key, st in d["ce"].items():
         _write_csv(os.path.join(out_dir, _csv_name("ce", key)),
                    ",".join(CeIterate._fields), st["history"])

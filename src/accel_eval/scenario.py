@@ -92,7 +92,6 @@ class ScenarioSample(NamedTuple):
     r_inv: float  # 1/range at cut-in, 1/m
     ttc_inv: float  # 1/TTC at cut-in, 1/s
     r0: float  # initial range, m
-    rdot: float  # initial range rate, m/s (<= 0)
     v0: float  # initial following-vehicle speed, m/s
     likelihood: float  # density ratio original/proposal (1.0 under the original law)
 
@@ -304,5 +303,5 @@ class ScenarioModel:
             lr_r = self.r_inv_dist.pdf(r_inv) / r_prop.pdf(r_inv)
             lr_t = exp_density_ratio(ttc_law, t_prop, ttc_inv)
             likelihood = lr_r * lr_t
-        rdot, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
-        return ScenarioSample(v_l, r_inv, ttc_inv, r0, rdot, v0, likelihood)
+        _, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
+        return ScenarioSample(v_l, r_inv, ttc_inv, r0, v0, likelihood)

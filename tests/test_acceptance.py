@@ -59,9 +59,9 @@ def _report(tag: str, ok: bool, detail: str) -> None:
 
 
 def _mk_sample(v_l, r_inv, ttc_inv, likelihood=1.0):
-    rdot, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
+    _, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
     return ScenarioSample(
-        v_l=v_l, r_inv=r_inv, ttc_inv=ttc_inv, r0=r0, rdot=rdot, v0=v0,
+        v_l=v_l, r_inv=r_inv, ttc_inv=ttc_inv, r0=r0, v0=v0,
         likelihood=likelihood,
     )
 
@@ -207,14 +207,14 @@ def test_a5_search_tilt_signs_and_dominance(default_cfg):
     details = []
     for seed in (1, 2, 3):
         st = ce_search(model, plant, "high", "conflict", 100, 10, seed)
-        ar, at = abs(st.params.vartheta_r) / lam_r, abs(st.params.vartheta_ttc) / cap_high
-        ok &= st.params.vartheta_r < 0.0 and ar > 2.0 and at < 0.5 and ar > 2.0 * at
-        details.append(f"conflict s{seed} vr={st.params.vartheta_r:.3g} vt={st.params.vartheta_ttc:.3g}")
+        ar, at = abs(st.vartheta_r) / lam_r, abs(st.vartheta_ttc) / cap_high
+        ok &= st.vartheta_r < 0.0 and ar > 2.0 and at < 0.5 and ar > 2.0 * at
+        details.append(f"conflict s{seed} vr={st.vartheta_r:.3g} vt={st.vartheta_ttc:.3g}")
 
         st = ce_search(model, plant, "low", "crash", 500, 10, seed)
-        ar, at = abs(st.params.vartheta_r) / lam_r, abs(st.params.vartheta_ttc) / cap_low
-        ok &= st.params.vartheta_ttc < 0.0 and at > 2.0 and ar < 0.5 and at > 2.0 * ar
-        details.append(f"crash s{seed} vr={st.params.vartheta_r:.3g} vt={st.params.vartheta_ttc:.3g}")
+        ar, at = abs(st.vartheta_r) / lam_r, abs(st.vartheta_ttc) / cap_low
+        ok &= st.vartheta_ttc < 0.0 and at > 2.0 and ar < 0.5 and at > 2.0 * ar
+        details.append(f"crash s{seed} vr={st.vartheta_r:.3g} vt={st.vartheta_ttc:.3g}")
     _report("A5 tilt-signs-and-dominance", ok, "; ".join(details))
 
 
@@ -286,7 +286,7 @@ def test_a8_exposure_accounting(seed42_runs):
 
     # A quiet 8 s test at a constant 20 m/s adds exactly 160 m.
     s = ScenarioSample(
-        v_l=20.0, r_inv=1.0 / 250.0, ttc_inv=1e-12, r0=250.0, rdot=0.0, v0=20.0,
+        v_l=20.0, r_inv=1.0 / 250.0, ttc_inv=1e-12, r0=250.0, v0=20.0,
         likelihood=1.0,
     )
     trace = simulate(s, OFF)

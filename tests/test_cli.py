@@ -415,10 +415,10 @@ def _without_row_key(key):
     return edit
 
 
-def _row_event(value):
+def _row_value(key, value):
     def edit(text):
         d = json.loads(text)
-        d["rows"][0]["event"] = value
+        d["rows"][0][key] = value
         return json.dumps(d)
     return edit
 
@@ -445,18 +445,38 @@ def _row_event(value):
     ({"resolved_config": {"confidence": {"alpha": "0.2", "beta": 0.2}}},
      "resolved_config.confidence.alpha is not a number"),
     ({"rows": {}}, "rows is not a list"),
-    (_row_event(5), "rows[0].event is not a string"),
+    (_row_value("event", 5), "rows[0].event is not a string"),
     ({"convergence": {"conflict/high/is": 5}}, "convergence['conflict/high/is'] is not a list"),
     ({"convergence": {"conflict/high/is": [5]}},
      "convergence['conflict/high/is'][0] is not a list"),
     ({"convergence": {"conflict/high/is": [[200, {}]]}},
      "convergence['conflict/high/is'][0][1] is not a number or a string"),
+    # A bool is an int to Python, but a stored number never is a bool, and
+    # converged is never anything else.
+    (_row_value("n", True), "rows[0].n is not a number"),
+    (_row_value("converged", 5), "rows[0].converged is not a bool"),
+    ({"resolved_config": {"confidence": {"alpha": False, "beta": 0.2}}},
+     "resolved_config.confidence.alpha is not a number"),
+    ({"ce": {"conflict/high": {**_STATE, "vartheta_r": True}}},
+     "ce['conflict/high'].vartheta_r is not a number"),
+    ({"ce": {"conflict/high": {**_STATE, "event_hits": "1"}}},
+     "ce['conflict/high'].event_hits is not a number"),
+    ({"convergence": {"conflict/high/is": [[200, True, 0.1, 0.25]]}},
+     "convergence['conflict/high/is'][0][1] is not a number or a string"),
+    # Each table row has one cell per column of its CSV header.
+    ({"ce": {"conflict/high": {**_STATE, "history": [[1, 0.5]]}}},
+     "ce['conflict/high'].history[0] does not have 5 cells"),
+    ({"convergence": {"conflict/high/is": [[100]]}},
+     "convergence['conflict/high/is'][0] does not have 4 cells"),
 ], ids=["empty-resolved-config", "convergence-not-a-mapping", "row-without-keys", "nan",
         "int-past-float-range", "float-past-float-range", "nul-in-key",
         "two-convergence-keys-one-file", "two-ce-keys-one-file",
         *(f"row-without-{k}" for k in ROW_KEYS),
         "alpha-a-string", "rows-not-a-list", "row-text-not-a-string", "table-not-a-list",
-        "table-row-not-a-list", "table-cell-a-mapping"])
+        "table-row-not-a-list", "table-cell-a-mapping", "row-n-a-bool",
+        "row-converged-a-number", "alpha-a-bool", "ce-tilt-a-bool", "ce-hits-a-string",
+        "table-cell-a-bool",
+        "ragged-history-row", "ragged-convergence-row"])
 def test_report_checks_values_before_writing(tmp_path, capsys, change, where):
     """``change`` is merged into the stored report, or edits its text when callable."""
     stored = tmp_path / "stored"

@@ -95,13 +95,13 @@ def test_search_history_and_final_state():
     assert all(0 <= h.hits <= h.n == 100 for h in state.history)
     assert state.event_hits == state.history[-1].hits
     last = state.history[-1]
-    assert state.params == ProposalParams(last.vartheta_r, last.vartheta_ttc, "high")
+    assert (state.vartheta_r, state.vartheta_ttc) == (last.vartheta_r, last.vartheta_ttc)
     assert state.lambda_r == model.r_inv_exp_mean
     assert state.lambda_ttc_cap == model.min_lambda_ttc_in(model.bin_named("high"))
     # Proximity events are driven by short ranges: the range tilt must be
     # negative and stay inside the validity region.
-    assert state.params.vartheta_r < 0.0
-    model.validate_proposal(state.params)
+    assert state.vartheta_r < 0.0
+    model.validate_proposal(ProposalParams(state.vartheta_r, state.vartheta_ttc, "high"))
 
 
 def test_search_is_deterministic_in_seed():
@@ -121,7 +121,7 @@ def test_search_zero_hit_iterations_keep_params():
     cfg = AvConfig(t_lc_max=0.2)
     state = ce_search(model, cfg, "high", "crash", 20, 2, seed=4)
     assert state.event_hits == 0
-    assert state.params == ProposalParams(0.0, 0.0, "high")
+    assert (state.vartheta_r, state.vartheta_ttc) == (0.0, 0.0)
     assert all(h.hits == 0 for h in state.history)
 
 
@@ -133,7 +133,7 @@ def test_search_aborts_after_consecutive_zero_hits():
     cfg = AvConfig(t_lc_max=0.2)
     state = ce_search(model, cfg, "high", "crash", 20, 8, seed=4)
     assert state.event_hits == 0
-    assert state.params == ProposalParams(0.0, 0.0, "high")
+    assert (state.vartheta_r, state.vartheta_ttc) == (0.0, 0.0)
     assert [(h.iteration, h.hits) for h in state.history] == [(it, 0) for it in range(1, 9)]
 
 
@@ -158,7 +158,7 @@ def test_search_tilt_shrinks_interval_half_width():
     widths = {}
     for tag, params in [
         ("identity", ProposalParams(0.0, 0.0, "high")),
-        ("tilted", state.params),
+        ("tilted", ProposalParams(state.vartheta_r, state.vartheta_ttc, "high")),
     ]:
         acc = EstimatorAccumulator()
         ns = stream_namespace(f"test/halfwidth/{tag}")

@@ -29,8 +29,8 @@ from accel_eval.scenario import ProposalParams, scenario_stream, stream_namespac
 
 
 def mk(v_l, r_inv, ttc_inv):
-    rdot, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
-    return ScenarioSample(v_l, r_inv, ttc_inv, r0, rdot, v0, 1.0)
+    _, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
+    return ScenarioSample(v_l, r_inv, ttc_inv, r0, v0, 1.0)
 
 
 # Controllers forced inert: zero gains, AEB threshold zero never trips.
@@ -264,7 +264,7 @@ def test_fast_and_recorded_paths_agree_exactly():
 
 
 def test_records_are_immutable():
-    s = ScenarioSample(v_l=10.0, r_inv=0.5, ttc_inv=2.0, r0=2.0, rdot=-4.0, v0=14.0,
+    s = ScenarioSample(v_l=10.0, r_inv=0.5, ttc_inv=2.0, r0=2.0, v0=14.0,
                        likelihood=1.0)
     state = SimState(t=0.0, r=2.0, v=14.0, a=0.0, a_cmd=0.0, mode=AEB, prev_err=0.0)
     trace = SimTrace(states=(state,), outcome="none", t_end=0.0, min_range=2.0,
@@ -337,8 +337,7 @@ def _bits(state):
 # one step lies between the two: AEB latches at the second step.  The
 # plant reads only v_l, r0 and v0, given here to the last bit.
 @example(s=ScenarioSample(v_l=0.0, r_inv=1 / 93.63199999999999, ttc_inv=0.0,
-                          r0=93.63199999999999, rdot=-30.799999999999997,
-                          v0=30.799999999999997, likelihood=1.0),
+                          r0=93.63199999999999, v0=30.799999999999997, likelihood=1.0),
          cfg=AvConfig(a_acc_max=0.0, a_aeb=0.0, r_aeb=0.0,
                       ttc_aeb_schedule=((7.4, 1.34), (30.8, 2.94))))
 # One tick runs (round(0.06 / 0.1) == 1), and the cut-in starts in AEB.

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from accel_eval.config import parse_config
+from accel_eval.cross_entropy import CeState, ce_search
 from accel_eval.estimation import MILE_M, required_n_cmc
 from accel_eval.plant import simulate
 from accel_eval.runner import (
@@ -181,6 +182,19 @@ def test_search_deduplicates_injury_and_crash():
     assert d["provenance"]["seed"] == 2
     assert list(d["ce"]) == ["crash/low"]
     assert len(d["ce"]["crash/low"]["history"]) == 2
+
+
+def test_a_search_entry_is_the_search_state():
+    # A report's ce entry is the state ce_search returns, with no second form.
+    cfg = parse_config({**FAST, "events": ["conflict", "injury"], "bins": ["high", "low"]})
+    d = run_search(cfg)
+    assert list(d["ce"]) == ["conflict/high", "conflict/low", "crash/high", "crash/low"]
+    for key, entry in d["ce"].items():
+        event, bin_name = key.split("/")
+        st = ce_search(cfg.model, cfg.plant, bin_name, event, cfg.ce_n_per_iter[event],
+                       cfg.ce_iterations, cfg.seed)
+        assert set(entry) == set(CeState._fields)
+        assert json.dumps(entry, sort_keys=True) == json.dumps(st._asdict(), sort_keys=True)
 
 
 def test_outputs_are_reproducible_and_round_trip(tmp_path):

@@ -218,7 +218,7 @@ def test_sampling_under_original_law():
         assert m.r_inv_dist.lo <= s.r_inv <= m.r_inv_dist.hi
         assert s.ttc_inv >= 0.0
         assert s.r0 == 1.0 / s.r_inv
-        assert s.v0 == s.v_l - s.rdot
+        assert s.v0 == s.v_l + s.ttc_inv / s.r_inv
 
 
 def test_identity_proposal_weight_is_surrogate_ratio():
