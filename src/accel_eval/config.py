@@ -299,7 +299,7 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
 
     model = _build_model(_require_map(resolved["model"], "model"), "model")
     # Computed, never set; recorded so that the hashed settings hold it.
-    resolved["model"]["exp_approx_mean"] = model.r_inv_exp_mean
+    resolved["model"]["exp_approx_mean"] = model.r_inv_surrogate.mean
     if model.r_inv_dist.hi == math.inf:
         # Reports are strict JSON, which has no infinity: record an
         # unbounded inverse-range law as null.
@@ -361,10 +361,9 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
             p = ProposalParams(
                 vartheta_r=_number(tilts.get("vartheta_r", 0.0), f"{wpath}.vartheta_r"),
                 vartheta_ttc=_number(tilts.get("vartheta_ttc", 0.0), f"{wpath}.vartheta_ttc"),
-                bin_name=bname,
             )
             with _prefixed(wpath):
-                model.validate_proposal(p)
+                model.validate_proposal(p, model.bin_named(bname))
             warm_start[ev][bname] = p
 
     return ExperimentConfig(

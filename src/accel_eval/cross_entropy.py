@@ -97,12 +97,12 @@ def ce_search(
     if n_per_iter < 1 or iterations < 1:
         raise ValueError("n_per_iter and iterations must be >= 1")
     b = model.bin_named(bin_name)
-    lam_r = model.r_inv_exp_mean
+    lam_r = model.r_inv_surrogate.mean
     lam_cap = model.min_lambda_ttc_in(b)
     ns = stream_namespace(f"ce/{event}/{bin_name}")
 
     sample = model.sample_scenario
-    params = ProposalParams(0.0, 0.0, bin_name)
+    params = ProposalParams(0.0, 0.0)
     history: list[CeIterate] = []
     for it in range(1, iterations + 1):
         hits: list[ScenarioSample] = []
@@ -116,9 +116,8 @@ def ce_search(
                 weighted_tilt_update([s.r_inv for s in hits], lam_r, w, lam_r),
                 weighted_tilt_update([s.ttc_inv for s in hits],
                                      [model.lambda_ttc(s.v_l) for s in hits], w, lam_cap),
-                bin_name,
             )
-            model.validate_proposal(params)
+            model.validate_proposal(params, b)
         history.append(CeIterate(it, params.vartheta_r, params.vartheta_ttc, len(hits), n_per_iter))
     return CeState(params.vartheta_r, params.vartheta_ttc, len(hits), n_per_iter,
                    tuple(history), lam_r, lam_cap)

@@ -43,7 +43,8 @@ class FitError(ValueError):
 # Each law formula below takes one float at a time and computes with the
 # functions of ``fmath``, which are built from correctly rounded operations
 # only: a value has the same bits on any IEEE-754 machine and any
-# supported Python.  ``_clip`` keeps np.clip's NaN and signed-zero rules.
+# supported Python.  ``_clip`` keeps np.clip's NaN and signed-zero rules;
+# a density is 0.0 off its closed support, NaN included.
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -58,11 +59,6 @@ def _check_u(u: float) -> float:
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
     return u
-
-
-def _on_support(x: float, lo: float, hi: float, f) -> float:
-    """``f(x)`` on [lo, hi] and 0.0 outside (NaN included)."""
-    return f(x) if lo <= x <= hi else 0.0
 
 
 class TruncatedPareto:
@@ -97,9 +93,11 @@ class TruncatedPareto:
         return exp(-log1p(self.k * (x - self.theta) / self.sigma) / self.k)
 
     def pdf(self, x: float) -> float:
-        return _on_support(x, self.lo, self.hi, lambda x: (1.0 / self.sigma) * exp(
+        if not self.lo <= x <= self.hi:
+            return 0.0
+        return (1.0 / self.sigma) * exp(
             (-1.0 - 1.0 / self.k) * log1p(self.k * (x - self.theta) / self.sigma)
-        ) / self._z)
+        ) / self._z
 
     def cdf(self, x: float) -> float:
         xs = _clip(x, self.lo, self.hi)
@@ -133,8 +131,9 @@ class TruncatedExponential:
             raise ValueError("truncation range carries no probability mass")
 
     def pdf(self, x: float) -> float:
-        return _on_support(x, self.lo, self.hi, lambda x: exp(
-            -(x - self.lo) / self.mean) / (self.mean * self._q))
+        if not self.lo <= x <= self.hi:
+            return 0.0
+        return exp(-(x - self.lo) / self.mean) / (self.mean * self._q)
 
     def cdf(self, x: float) -> float:
         xs = _clip(x, self.lo, self.hi)
@@ -151,12 +150,9 @@ def tilt_exponential(base: TruncatedExponential, vartheta: float) -> TruncatedEx
 
     The tilted law stays in the truncated-exponential family on the same
     support, so importance weights never divide by zero.  ``vartheta``
-    must stay strictly below ``base.mean``.
+    must stay strictly below ``base.mean``: for floats that is the
+    constructor's own ``mean > 0`` test of ``base.mean - vartheta``.
     """
-    if not vartheta < base.mean:
-        raise ValueError(
-            f"tilt vartheta={vartheta} must be < mean {base.mean} to keep the mean positive"
-        )
     return TruncatedExponential(base.mean - vartheta, base.lo, base.hi)
 
 
@@ -170,6 +166,8 @@ def exp_density_ratio(numer: TruncatedExponential, denom: TruncatedExponential, 
     return 0; callers are expected to evaluate only at points drawn from
     ``denom``.
     """
+    if not numer.lo <= x <= numer.hi:
+        return 0.0
     log_c = (
         log(denom.mean * denom._q)
         - log(numer.mean * numer._q)
@@ -179,8 +177,8 @@ def exp_density_ratio(numer: TruncatedExponential, denom: TruncatedExponential, 
     rate_diff = 1.0 / numer.mean - 1.0 / denom.mean
     c = exp(log_c)
     if 0.0 < c < math.inf:
-        return _on_support(x, numer.lo, numer.hi, lambda x: c * exp(-x * rate_diff))
-    return _on_support(x, numer.lo, numer.hi, lambda x: exp(log_c - x * rate_diff))
+        return c * exp(-x * rate_diff)
+    return exp(log_c - x * rate_diff)
 
 
 class EmpiricalDist:

@@ -166,6 +166,14 @@ def apply_filters(data: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, in
     return mask, dropped
 
 
+def _speed_edges(width: float) -> list[float]:
+    """Edges ``V_RANGE[0] + i*width`` of the speed envelope, ending exactly at
+    ``V_RANGE[1]``; an edge closer to it than 1e-9 of a width is dropped."""
+    lo, hi = V_RANGE
+    n = max(1, math.ceil((hi - lo) / width - 1e-9))
+    return [lo + i * width for i in range(n)] + [hi]
+
+
 def build_model_section(
     data: dict[str, np.ndarray],
     v_bin_width: float = 2.0,
@@ -196,9 +204,7 @@ def build_model_section(
     section = default_config_dict()["model"]
 
     # Lead-speed histogram over the envelope.
-    edges = list(np.arange(V_RANGE[0], V_RANGE[1], v_bin_width))
-    if edges[-1] < V_RANGE[1]:
-        edges.append(V_RANGE[1])
+    edges = _speed_edges(v_bin_width)
     counts, _ = np.histogram(v_l, bins=edges)
     section["velocity"] = {"bin_edges": [float(e) for e in edges],
                            "bin_mass": (counts / counts.sum()).tolist()}
@@ -214,14 +220,12 @@ def build_model_section(
     # Inverse TTC means per lead-speed interval, exactly summed.
     ttc_inv = -r_l_dot / r_l
     table: list[tuple[float, float]] = []
-    lo = V_RANGE[0]
-    while lo < V_RANGE[1]:
-        hi = min(lo + ttc_speed_bin_width, V_RANGE[1])
+    ttc_edges = _speed_edges(ttc_speed_bin_width)
+    for lo, hi in zip(ttc_edges, ttc_edges[1:]):
         sel = (v_l >= lo) & (v_l < hi)
         count = int(sel.sum())
         if count >= min_bin_count:
             table.append(((lo + hi) / 2.0, math.fsum(ttc_inv[sel].tolist()) / count))
-        lo = hi
     if not table:
         raise ValueError(
             f"no lead-speed interval holds >= {min_bin_count} records; "

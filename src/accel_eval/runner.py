@@ -230,7 +230,7 @@ def run_experiment(cfg: ExperimentConfig, log_dir: str | None = None) -> dict:
                     params = _warm_params(cfg, event, bin_name)
                     if params is None:
                         st = ce[f"{_ce_event_for(event)}/{bin_name}"]
-                        params = ProposalParams(st.vartheta_r, st.vartheta_ttc, bin_name)
+                        params = ProposalParams(st.vartheta_r, st.vartheta_ttc)
                 acc, conv, ok = _estimate_combo(cfg, event, bin_name, mode, params, log_dir)
                 convergence[f"{event}/{bin_name}/{mode}"] = conv
                 done[mode] = (acc, ok, params)

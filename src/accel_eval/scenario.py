@@ -73,7 +73,7 @@ class VelocityBin:
 
 @dataclass(frozen=True)
 class ProposalParams:
-    """Tilts applied to the two inverse laws within one velocity bin.
+    """Tilts applied to the two inverse laws, checked per bin by ``validate_proposal``.
 
     ``vartheta_r`` shifts the exponential surrogate of the inverse-range
     law; ``vartheta_ttc`` shifts the inverse-TTC law.  Negative values
@@ -82,7 +82,6 @@ class ProposalParams:
 
     vartheta_r: float
     vartheta_ttc: float
-    bin_name: str
 
 
 class ScenarioSample(NamedTuple):
@@ -181,9 +180,9 @@ class ScenarioModel:
         Contiguous non-overlapping partition of the studied speed range.
 
     The least-squares exponential surrogate of the inverse-range law, a
-    :class:`TruncatedExponential` on its support with mean
-    ``r_inv_exp_mean``, is built here and kept as ``r_inv_surrogate``;
-    importance-sampling proposals tilt it.
+    :class:`TruncatedExponential` on its support, is built here and kept
+    as ``r_inv_surrogate``; importance-sampling proposals tilt it, and
+    its ``mean`` bounds their ``vartheta_r``.
     """
 
     def __init__(
@@ -222,7 +221,7 @@ class ScenarioModel:
                     f"{b.name!r} starts at {b.lo}"
                 )
 
-        self.r_inv_exp_mean = mean = lsq_exponential_of_pareto(r_inv_dist)
+        mean = lsq_exponential_of_pareto(r_inv_dist)
         self.r_inv_surrogate = TruncatedExponential(mean, r_inv_dist.lo, r_inv_dist.hi)
 
     def lambda_ttc(self, v_l: float) -> float:
@@ -258,19 +257,18 @@ class ScenarioModel:
         cand += [v for v in self._ttc_speeds if b.lo < v < b.hi]
         return min(self.lambda_ttc(v) for v in cand)
 
-    def validate_proposal(self, p: ProposalParams) -> None:
-        """Raise ValueError unless both tilts keep positive proposal means bin-wide."""
-        b = self.bin_named(p.bin_name)
-        if not p.vartheta_r < self.r_inv_exp_mean:
+    def validate_proposal(self, p: ProposalParams, b: VelocityBin) -> None:
+        """Raise ValueError unless both tilts keep positive proposal means over bin ``b``."""
+        mean = self.r_inv_surrogate.mean
+        if not p.vartheta_r < mean:
             raise ValueError(
-                f"vartheta_r={p.vartheta_r} must be < inverse-range surrogate mean "
-                f"{self.r_inv_exp_mean}"
+                f"vartheta_r={p.vartheta_r} must be < inverse-range surrogate mean {mean}"
             )
         lam_min = self.min_lambda_ttc_in(b)
         if not p.vartheta_ttc < lam_min:
             raise ValueError(
                 f"vartheta_ttc={p.vartheta_ttc} must be < min inverse-TTC mean "
-                f"{lam_min} over bin {p.bin_name!r}"
+                f"{lam_min} over bin {b.name!r}"
             )
 
     def sample_scenario(

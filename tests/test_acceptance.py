@@ -200,7 +200,7 @@ def test_a5_search_tilt_signs_and_dominance(default_cfg):
     # fast closing: the search must tilt the matching coordinate and
     # leave the other one near zero, for every seed.
     model, plant = default_cfg.model, default_cfg.plant
-    lam_r = model.r_inv_exp_mean
+    lam_r = model.r_inv_surrogate.mean
     cap_high = model.min_lambda_ttc_in(model.bin_named("high"))
     cap_low = model.min_lambda_ttc_in(model.bin_named("low"))
     ok = True
@@ -248,7 +248,7 @@ def test_a7_injury_probability_and_ordering(default_cfg):
     # scaled by a probability, so the estimates are ordered sample-wise.
     model, plant = default_cfg.model, default_cfg.plant
     b = model.bin_named("low")
-    params = ProposalParams(0.0, -0.5, "low")
+    params = ProposalParams(0.0, -0.5)
     ns = stream_namespace("accept/shared-stream")
     inj, crash = EstimatorAccumulator(), EstimatorAccumulator()
     samplewise = True
@@ -378,7 +378,7 @@ def test_a10_module_invariants(default_cfg):
     ns = stream_namespace("accept/fast-vs-recorded")
     agree = True
     for i in range(50):
-        params = None if i % 2 else ProposalParams(-0.05, -0.01, "high")
+        params = None if i % 2 else ProposalParams(-0.05, -0.01)
         s = model.sample_scenario(b, scenario_stream(6, i, ns), params)
         fast = simulate(s, plant)
         slow = simulate(s, plant, record=True)

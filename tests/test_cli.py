@@ -589,7 +589,7 @@ def test_traces_are_the_drawn_scenarios(tmp_path, capsys):
 
         params = None
         if row["vartheta_r"] is not None:
-            params = ProposalParams(row["vartheta_r"], row["vartheta_ttc"], "high")
+            params = ProposalParams(row["vartheta_r"], row["vartheta_ttc"])
         ns = stream_namespace(f"estimate/conflict/high/{row['mode']}")
         for r in picked:
             i = int(r["index"])

@@ -126,9 +126,9 @@ def test_warm_start_round_trip_and_defaults():
         },
     }
     cfg = parse_config(data)
-    assert cfg.warm_start["conflict"]["high"] == ProposalParams(-0.1, -0.01, "high")
+    assert cfg.warm_start["conflict"]["high"] == ProposalParams(-0.1, -0.01)
     # Omitted tilt defaults to zero.
-    assert cfg.warm_start["crash"]["low"] == ProposalParams(0.0, -0.5, "low")
+    assert cfg.warm_start["crash"]["low"] == ProposalParams(0.0, -0.5)
 
 
 def test_warm_start_violations_name_the_path():

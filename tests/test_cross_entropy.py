@@ -96,12 +96,13 @@ def test_search_history_and_final_state():
     assert state.event_hits == state.history[-1].hits
     last = state.history[-1]
     assert (state.vartheta_r, state.vartheta_ttc) == (last.vartheta_r, last.vartheta_ttc)
-    assert state.lambda_r == model.r_inv_exp_mean
+    assert state.lambda_r == model.r_inv_surrogate.mean
     assert state.lambda_ttc_cap == model.min_lambda_ttc_in(model.bin_named("high"))
     # Proximity events are driven by short ranges: the range tilt must be
     # negative and stay inside the validity region.
     assert state.vartheta_r < 0.0
-    model.validate_proposal(ProposalParams(state.vartheta_r, state.vartheta_ttc, "high"))
+    model.validate_proposal(ProposalParams(state.vartheta_r, state.vartheta_ttc),
+                            model.bin_named("high"))
 
 
 def test_search_is_deterministic_in_seed():
@@ -157,8 +158,8 @@ def test_search_tilt_shrinks_interval_half_width():
     spec = ConfidenceSpec(0.2, 0.2)
     widths = {}
     for tag, params in [
-        ("identity", ProposalParams(0.0, 0.0, "high")),
-        ("tilted", ProposalParams(state.vartheta_r, state.vartheta_ttc, "high")),
+        ("identity", ProposalParams(0.0, 0.0)),
+        ("tilted", ProposalParams(state.vartheta_r, state.vartheta_ttc)),
     ]:
         acc = EstimatorAccumulator()
         ns = stream_namespace(f"test/halfwidth/{tag}")

@@ -83,9 +83,12 @@ def test_pareto_pdf_at_theta_untruncated():
 
 
 def test_pareto_outside_support():
+    # The support is closed, and NaN lies outside it.
     p = TruncatedPareto(**ORACLE_PARETO)
     assert p.pdf(p.lo - 1e-3) == 0.0
     assert p.pdf(p.hi + 1e-3) == 0.0
+    assert p.pdf(math.nan) == 0.0
+    assert p.pdf(p.lo) > 0.0 and p.pdf(p.hi) > 0.0
     assert p.cdf(p.lo - 1e-3) == 0.0
     assert p.cdf(p.hi + 1e-3) == 1.0
 
@@ -135,6 +138,15 @@ def test_exponential_shift_is_exact():
     base = TruncatedExponential(1.3, 0.0, math.inf)
     shifted = TruncatedExponential(1.3, 2.5, math.inf)
     assert all(shifted.ppf(u) == 2.5 + base.ppf(u) for u in np.linspace(0.0, 0.999, 64).tolist())
+
+
+def test_exponential_outside_support():
+    # The support is closed, and NaN lies outside it.
+    d = TruncatedExponential(0.7, 1.5, 9.0)
+    assert d.pdf(d.lo - 1e-3) == 0.0
+    assert d.pdf(d.hi + 1e-3) == 0.0
+    assert d.pdf(math.nan) == 0.0
+    assert d.pdf(d.lo) > 0.0 and d.pdf(d.hi) > 0.0
 
 
 def test_exponential_validation():
@@ -195,6 +207,8 @@ def test_density_ratio_outside_numer_support_is_zero():
     n = TruncatedExponential(1.0, 0.0, 5.0)
     d = TruncatedExponential(1.0, 0.0, math.inf)
     assert exp_density_ratio(n, d, 6.0) == 0.0
+    assert exp_density_ratio(n, d, math.nan) == 0.0
+    assert exp_density_ratio(n, d, n.lo) > 0.0 and exp_density_ratio(n, d, n.hi) > 0.0
 
 
 @pytest.mark.parametrize("numer,denom", [

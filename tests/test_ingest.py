@@ -127,6 +127,21 @@ def test_fit_depends_only_on_the_set_of_records():
     assert sections[0] == sections[1]
 
 
+def test_histogram_and_ttc_intervals_share_their_edges():
+    # Adding 3.8 m/s up from 2 does not land on 40 but leaves a sliver just
+    # below it, which a lead at the largest float under 40 fills; every
+    # inverse-TTC speed must still be the midpoint of a histogram interval.
+    top = [[10.0, np.nextafter(40.0, 0.0), 30.0, -1.0]]
+    rows = np.vstack([_synthetic_rows(300, seed=8), top])
+    data = {c: rows[:, i] for i, c in enumerate(("v", "v_l", "r_l", "r_l_dot"))}
+    section, _ = build_model_section(data, v_bin_width=3.8, ttc_speed_bin_width=3.8,
+                                     min_bin_count=1)
+    edges = section["velocity"]["bin_edges"]
+    assert len(edges) == 11 and edges[0] == 2.0 and edges[-1] == 40.0
+    speeds = [v for v, _ in section["ttc_lambda"]["table"]]
+    assert speeds == [(a + b) / 2.0 for a, b in zip(edges, edges[1:])]
+
+
 def test_sparse_speed_intervals_are_dropped(tmp_path):
     # All leads near 10 m/s except a lone 30 m/s record: the interval
     # around 30 is short of min_bin_count and must vanish from the table.
@@ -163,8 +178,7 @@ def test_too_few_survivors_is_an_error(tmp_path):
     ],
 )
 def test_bin_settings_are_validated(kwargs, match):
-    # A zero speed interval would never end the interval loop, and a
-    # non-positive histogram width has no edges to bin by; a tiny width
+    # A non-positive width has no edges to split V_RANGE by; a tiny width
     # would build one histogram bin or one masked pass per sliver.
     rows = _synthetic_rows(50, seed=3)
     data = {c: rows[:, i] for i, c in enumerate(("v", "v_l", "r_l", "r_l_dot"))}

@@ -240,7 +240,7 @@ def test_fast_and_recorded_paths_agree_exactly():
         cases.append(model.sample_scenario(b, scenario_stream(21, i, ns)))
     for i in range(150, 300):
         b = model.bins[i % 3]
-        prop = ProposalParams(-0.05, -0.01, b.name)
+        prop = ProposalParams(-0.05, -0.01)
         cases.append(model.sample_scenario(b, scenario_stream(21, i, ns), prop))
     # The sampled draws hold no crash; these two end in one.
     cases += [mk(10.0, 0.5, 5.0), mk(10.0, 0.5, 2.0)]

@@ -247,7 +247,7 @@ def test_verbose_traces_write_scenario_artifacts(tmp_path):
     assert len(lines) == 1 + rep["rows"][0]["n"]
     # Each line is built at draw time; it must be the bytes rebuilt from that draw.
     b = cfg.model.bin_named("high")
-    params = ProposalParams(-0.11, -0.015, "high")
+    params = ProposalParams(-0.11, -0.015)
     ns = stream_namespace("estimate/conflict/high/is")
     for i, line in enumerate(lines[1:]):
         s = cfg.model.sample_scenario(b, scenario_stream(13, i, ns), params)

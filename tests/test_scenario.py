@@ -197,14 +197,15 @@ def test_model_validation():
 
 def test_validate_proposal_bounds():
     m = make_model()
-    m.validate_proposal(ProposalParams(0.0, 0.0, "high"))
-    m.validate_proposal(ProposalParams(-5.0, -5.0, "high"))
+    high, low = m.bin_named("high"), m.bin_named("low")
+    m.validate_proposal(ProposalParams(0.0, 0.0), high)
+    m.validate_proposal(ProposalParams(-5.0, -5.0), high)
     with pytest.raises(ValueError):
-        m.validate_proposal(ProposalParams(m.r_inv_exp_mean, 0.0, "high"))
+        m.validate_proposal(ProposalParams(m.r_inv_surrogate.mean, 0.0), high)
     with pytest.raises(ValueError):
-        m.validate_proposal(ProposalParams(0.0, 0.04, "high"))
+        m.validate_proposal(ProposalParams(0.0, 0.04), high)
     # The same tilt can be legal in a bin with a higher cap.
-    m.validate_proposal(ProposalParams(0.0, 0.05, "low"))
+    m.validate_proposal(ProposalParams(0.0, 0.05), low)
 
 
 def test_sampling_under_original_law():
@@ -227,7 +228,7 @@ def test_identity_proposal_weight_is_surrogate_ratio():
     m = make_model()
     b = m.bin_named("low")
     ns = stream_namespace("test/identity")
-    prop = ProposalParams(0.0, 0.0, "low")
+    prop = ProposalParams(0.0, 0.0)
     surrogate = m.r_inv_surrogate
     for i in range(100):
         s = m.sample_scenario(b, scenario_stream(11, i, ns), prop)
@@ -239,7 +240,7 @@ def test_importance_weights_average_to_one():
     # E_proposal[L] = 1 for any valid tilt; checked at 3 standard errors.
     m = make_model()
     b = m.bin_named("high")
-    prop = ProposalParams(-0.105, -0.01, "high")
+    prop = ProposalParams(-0.105, -0.01)
     ns = stream_namespace("test/el")
     n = 20000
     tot = tot2 = 0.0
@@ -257,9 +258,9 @@ def test_proposal_tilts_shift_sampled_laws():
     m = make_model()
     b = m.bin_named("high")
     ns = stream_namespace("test/shift")
-    base = [m.sample_scenario(b, scenario_stream(9, i, ns), ProposalParams(0.0, 0.0, "high")).r_inv
+    base = [m.sample_scenario(b, scenario_stream(9, i, ns), ProposalParams(0.0, 0.0)).r_inv
             for i in range(500)]
-    tilted = [m.sample_scenario(b, scenario_stream(9, i, ns), ProposalParams(-0.08, 0.0, "high")).r_inv
+    tilted = [m.sample_scenario(b, scenario_stream(9, i, ns), ProposalParams(-0.08, 0.0)).r_inv
               for i in range(500)]
     assert np.mean(tilted) > 2.0 * np.mean(base)
 
@@ -269,7 +270,7 @@ def test_four_uniforms_per_scenario():
     # of them: the sample is a function of those four floats alone.
     m = make_model()
     b = m.bin_named("low")
-    prop = ProposalParams(-0.05, -0.02, "low")
+    prop = ProposalParams(-0.05, -0.02)
     u = scenario_stream(17, 0, 0)
     for p in (None, prop):
         s = m.sample_scenario(b, u, p)
