@@ -40,6 +40,7 @@ __all__ = [
     "ExperimentConfig",
     "default_config_dict",
     "parse_config",
+    "speed_edges",
     "load_config",
     "config_digest",
 ]
@@ -52,7 +53,16 @@ MODES = ("cmc", "is")
 V_RANGE = (2.0, 40.0)  # m/s, either vehicle
 R_RANGE = (0.1, 75.0)  # m, range at cut-in
 
-_V_EDGES = [float(v) for v in range(int(V_RANGE[0]), int(V_RANGE[1]) + 1, 2)]
+
+def speed_edges(width: float) -> list[float]:
+    """Edges ``V_RANGE[0] + i*width`` of the speed envelope, ending exactly at
+    ``V_RANGE[1]``; an edge closer to it than 1e-9 of a width is dropped."""
+    lo, hi = V_RANGE
+    n = max(1, math.ceil((hi - lo) / width - 1e-9))
+    return [lo + i * width for i in range(n)] + [hi]
+
+
+_V_EDGES = speed_edges(2.0)
 _V_WEIGHTS = [1, 2, 4, 7, 9, 8, 6, 4, 3, 3, 4, 6, 8, 9, 8, 6, 4, 2, 1]
 _V_MASS = [w / math.fsum(_V_WEIGHTS) for w in _V_WEIGHTS]
 
@@ -231,18 +241,23 @@ def _prefixed(path: str):
 def _build_section(cls, section: str, values: dict):
     """Build dataclass ``cls`` field by field from ``values``.
 
-    Each field's default fixes how its value is read: a tuple default
-    takes [x, y] pairs, a string default takes a string, anything else a
-    number.  A value the class itself rejects becomes a ConfigError
-    prefixed with ``section``.
+    ``values`` must hold exactly the class's fields.  Each field's
+    annotation fixes how its value is read: a tuple takes [x, y] pairs,
+    a string a string, anything else a number.  A value the class itself
+    rejects becomes a ConfigError prefixed with ``section``.
     """
+    fields = dataclasses.fields(cls)
+    if set(values) != {f.name for f in fields}:
+        raise ConfigError(
+            f"{section}: expected the keys {[f.name for f in fields]}, got {list(values)}"
+        )
     kwargs = {}
-    for f in dataclasses.fields(cls):
+    for f in fields:
         path = f"{section}.{f.name}"
         value = values[f.name]
-        if isinstance(f.default, tuple):
+        if f.type.startswith("tuple"):
             kwargs[f.name] = tuple(_pairs(value, path))
-        elif isinstance(f.default, str):
+        elif f.type == "str":
             kwargs[f.name] = str(value)
         else:
             kwargs[f.name] = _number(value, path)
@@ -270,13 +285,7 @@ def _build_model(section: dict, path: str) -> ScenarioModel:
     bins = []
     for i, b in enumerate(_list(section["velocity_bins"], f"{path}.velocity_bins")):
         bpath = f"{path}.velocity_bins[{i}]"
-        b = _require_map(b, bpath)
-        if set(b) != {"name", "lo", "hi"}:
-            raise ConfigError(f"{bpath}: expected the keys name, lo and hi, got {list(b)}")
-        with _prefixed(bpath):
-            bins.append(
-                VelocityBin(str(b["name"]), _number(b["lo"], bpath), _number(b["hi"], bpath))
-            )
+        bins.append(_build_section(VelocityBin, bpath, _require_map(b, bpath)))
     with _prefixed(path):
         return ScenarioModel(
             v_dist=v_dist,
@@ -354,14 +363,8 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
             wpath = f"warm_start.{ev}.{bname}"
             if bname not in bin_names:
                 raise ConfigError(f"{wpath}: unknown velocity bin")
-            tilts = _require_map(tilts, wpath)
-            unknown = set(tilts) - {"vartheta_r", "vartheta_ttc"}
-            if unknown:
-                raise ConfigError(f"{wpath}: unknown key(s) {sorted(map(str, unknown))}")
-            p = ProposalParams(
-                vartheta_r=_number(tilts.get("vartheta_r", 0.0), f"{wpath}.vartheta_r"),
-                vartheta_ttc=_number(tilts.get("vartheta_ttc", 0.0), f"{wpath}.vartheta_ttc"),
-            )
+            tilts = _merge(_field_defaults(ProposalParams), _require_map(tilts, wpath), wpath)
+            p = _build_section(ProposalParams, wpath, tilts)
             with _prefixed(wpath):
                 model.validate_proposal(p, model.bin_named(bname))
             warm_start[ev][bname] = p

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import R_RANGE, V_RANGE, default_config_dict
+from .config import R_RANGE, V_RANGE, default_config_dict, speed_edges
 from .distributions import FitError, _newton_on_grid
 
 __all__ = [
@@ -135,7 +135,8 @@ class IngestSummary:
 
 def load_events_csv(path: str) -> dict[str, np.ndarray]:
     """Read the four event columns; raise ValueError with the offending row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig: a spreadsheet's "CSV UTF-8" export starts with a byte-order mark.
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or any(c not in reader.fieldnames for c in _COLUMNS):
             raise ValueError(f"{path}: header must contain columns {_COLUMNS}")
@@ -164,14 +165,6 @@ def apply_filters(data: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, in
         dropped[name] = int(np.sum(~ok))
         mask &= ok
     return mask, dropped
-
-
-def _speed_edges(width: float) -> list[float]:
-    """Edges ``V_RANGE[0] + i*width`` of the speed envelope, ending exactly at
-    ``V_RANGE[1]``; an edge closer to it than 1e-9 of a width is dropped."""
-    lo, hi = V_RANGE
-    n = max(1, math.ceil((hi - lo) / width - 1e-9))
-    return [lo + i * width for i in range(n)] + [hi]
 
 
 def build_model_section(
@@ -204,9 +197,9 @@ def build_model_section(
     section = default_config_dict()["model"]
 
     # Lead-speed histogram over the envelope.
-    edges = _speed_edges(v_bin_width)
+    edges = speed_edges(v_bin_width)
     counts, _ = np.histogram(v_l, bins=edges)
-    section["velocity"] = {"bin_edges": [float(e) for e in edges],
+    section["velocity"] = {"bin_edges": edges,
                            "bin_mass": (counts / counts.sum()).tolist()}
 
     # Inverse range: heavy-tailed fit anchored at the default law's lower
@@ -220,7 +213,7 @@ def build_model_section(
     # Inverse TTC means per lead-speed interval, exactly summed.
     ttc_inv = -r_l_dot / r_l
     table: list[tuple[float, float]] = []
-    ttc_edges = _speed_edges(ttc_speed_bin_width)
+    ttc_edges = speed_edges(ttc_speed_bin_width)
     for lo, hi in zip(ttc_edges, ttc_edges[1:]):
         sel = (v_l >= lo) & (v_l < hi)
         count = int(sel.sum())

@@ -77,11 +77,12 @@ class ProposalParams:
 
     ``vartheta_r`` shifts the exponential surrogate of the inverse-range
     law; ``vartheta_ttc`` shifts the inverse-TTC law.  Negative values
-    push the proposal toward shorter ranges / shorter TTC.
+    push the proposal toward shorter ranges / shorter TTC.  Zero tilts,
+    the defaults, leave both laws untilted.
     """
 
-    vartheta_r: float
-    vartheta_ttc: float
+    vartheta_r: float = 0.0
+    vartheta_ttc: float = 0.0
 
 
 class ScenarioSample(NamedTuple):
@@ -95,20 +96,17 @@ class ScenarioSample(NamedTuple):
     likelihood: float  # density ratio original/proposal (1.0 under the original law)
 
 
-def derive_kinematics(v_l: float, r_inv: float, ttc_inv: float) -> tuple[float, float, float]:
-    """Initial (rdot, v0, r0) implied by the sampled triple.
+def derive_kinematics(v_l: float, r_inv: float, ttc_inv: float) -> tuple[float, float]:
+    """Initial (v0, r0) implied by the sampled triple.
 
-    TTC = range / closing speed gives rdot = -ttc_inv / r_inv, and the
-    following vehicle starts at v0 = v_l - rdot >= v_l.
+    TTC = range / closing speed, so the following vehicle starts at
+    v0 = v_l + ttc_inv / r_inv >= v_l, at range r0 = 1 / r_inv.
     """
     if not r_inv > 0:
         raise ValueError(f"r_inv must be > 0, got {r_inv}")
     if ttc_inv < 0:
         raise ValueError(f"ttc_inv must be >= 0, got {ttc_inv}")
-    rdot = -ttc_inv / r_inv
-    v0 = v_l - rdot
-    r0 = 1.0 / r_inv
-    return rdot, v0, r0
+    return v_l + ttc_inv / r_inv, 1.0 / r_inv
 
 
 def stream_namespace(label: str) -> int:
@@ -301,5 +299,5 @@ class ScenarioModel:
             lr_r = self.r_inv_dist.pdf(r_inv) / r_prop.pdf(r_inv)
             lr_t = exp_density_ratio(ttc_law, t_prop, ttc_inv)
             likelihood = lr_r * lr_t
-        _, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
+        v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
         return ScenarioSample(v_l, r_inv, ttc_inv, r0, v0, likelihood)

@@ -59,7 +59,7 @@ def _report(tag: str, ok: bool, detail: str) -> None:
 
 
 def _mk_sample(v_l, r_inv, ttc_inv, likelihood=1.0):
-    _, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
+    v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
     return ScenarioSample(
         v_l=v_l, r_inv=r_inv, ttc_inv=ttc_inv, r0=r0, v0=v0,
         likelihood=likelihood,

@@ -57,6 +57,17 @@ def test_load_events_csv_round_trip(tmp_path):
     assert np.array_equal(data["r_l_dot"], [-1.5, -0.25])
 
 
+def test_load_events_csv_accepts_a_byte_order_mark(tmp_path):
+    # A spreadsheet's "CSV UTF-8" export starts with U+FEFF, which must
+    # not become part of the first column's name.
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    _write_csv(plain, [[10.0, 12.0, 30.0, -1.5], [8.0, 7.5, 12.0, -0.25]])
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = load_events_csv(str(plain)), load_events_csv(str(bom))
+    assert list(b) == list(a)
+    assert all(np.array_equal(a[c], b[c]) for c in a)
+
+
 def test_load_events_csv_requires_columns(tmp_path):
     p = tmp_path / "events.csv"
     p.write_text("v,v_l,r_l\n10,12,30\n", encoding="utf-8")

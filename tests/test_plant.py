@@ -29,7 +29,7 @@ from accel_eval.scenario import ProposalParams, scenario_stream, stream_namespac
 
 
 def mk(v_l, r_inv, ttc_inv):
-    _, v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
+    v0, r0 = derive_kinematics(v_l, r_inv, ttc_inv)
     return ScenarioSample(v_l, r_inv, ttc_inv, r0, v0, 1.0)
 
 

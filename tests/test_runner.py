@@ -2,6 +2,7 @@
 
 import json
 import math
+import statistics
 from pathlib import Path
 
 import pytest
@@ -29,8 +30,35 @@ FAST = {
 }
 
 
+# Crude Monte Carlo rate of conflict/high under the default config's
+# original law: 7305 conflicts in 600 000 draws.  Draw i was
+# sample_scenario(high, scenario_stream(7, i, stream_namespace("reference/high")))
+# under no proposal, counted where simulate(...).outcome != "none"
+# (37-42 CPU-s on a 2-vCPU Xeon).
+CONFLICT_HIGH_REF = 7305 / 600_000  # 0.012175
+CONFLICT_HIGH_REF_SE = math.sqrt(CONFLICT_HIGH_REF * (1 - CONFLICT_HIGH_REF) / 600_000)  # relative 1.16%
+
+
 def _rows_by_mode(report):
     return {r["mode"]: r for r in report["rows"]}
+
+
+def test_importance_sampling_is_unbiased_against_the_crude_reference():
+    # The tilts of one search, held fixed over 20 seeds: the mean of the
+    # IS estimates must lie within 3 se of the CMC reference.  A single
+    # row stops near 250 draws, so its own interval cannot show a bias.
+    base = parse_config({"seed": 20260814})
+    st = ce_search(base.model, base.plant, "high", "conflict", 100, 10, 20260814)
+    warm = {"conflict": {"high": {"vartheta_r": st.vartheta_r, "vartheta_ttc": st.vartheta_ttc}}}
+    estimates = []
+    for seed in range(1, 21):
+        cfg = parse_config({"seed": seed, "events": ["conflict"], "bins": ["high"],
+                            "modes": ["is"], "warm_start": warm})
+        estimates.append(run_experiment(cfg)["rows"][0]["estimate"])
+    mean = statistics.fmean(estimates)
+    se = math.hypot(statistics.stdev(estimates) / math.sqrt(len(estimates)),
+                    CONFLICT_HIGH_REF_SE)
+    assert abs(mean - CONFLICT_HIGH_REF) < 3 * se, (mean, CONFLICT_HIGH_REF, se)
 
 
 def test_row_accounting_is_coherent():

@@ -48,14 +48,12 @@ def make_model(**kwargs):
 
 
 def test_kinematics_identities():
-    rdot, v0, r0 = derive_kinematics(10.0, 0.25, 0.5)
-    assert rdot == -2.0
+    v0, r0 = derive_kinematics(10.0, 0.25, 0.5)
     assert v0 == 12.0
     assert r0 == 4.0
     # Arbitrary values satisfy the defining relations to float precision.
-    rdot, v0, r0 = derive_kinematics(17.3, 0.0314, 0.271)
-    assert rdot * 0.0314 == pytest.approx(-0.271, rel=1e-12)
-    assert v0 - 17.3 == pytest.approx(-rdot, rel=1e-12)
+    v0, r0 = derive_kinematics(17.3, 0.0314, 0.271)
+    assert v0 - 17.3 == pytest.approx(0.271 / 0.0314, rel=1e-12)
     assert r0 == 1.0 / 0.0314
 
 
