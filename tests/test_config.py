@@ -306,8 +306,10 @@ INF, NAN = float("inf"), float("nan")
         ({"model": {"ttc_lambda": {"floor": INF}}}, r"model\.ttc_lambda\.floor"),
         ({"model": {"ttc_lambda": {"table": [[5.0, NAN]]}}}, r"model\.ttc_lambda\.table"),
         ({"model": {"velocity": {"bin_edges": [2.0, INF]}}}, r"model\.velocity\.bin_edges"),
-        ({"model": {"velocity_bins": [{"name": "all", "lo": 2.0, "hi": INF}]}},
-         r"model\.velocity_bins\[0\]\.hi"),
+        # The error names the bin's field; the case keeps its id from when it
+        # named only the bin.
+        pytest.param({"model": {"velocity_bins": [{"name": "all", "lo": 2.0, "hi": INF}]}},
+                     r"model\.velocity_bins\[0\]\.hi", id=r"data13-model\.velocity_bins\[0\]"),
         ({"warm_start": {"conflict": {"low": {"vartheta_r": -INF}}}},
          r"warm_start\.conflict\.low\.vartheta_r"),
     ],
